@@ -175,9 +175,12 @@ def _cmd_shift(args: argparse.Namespace) -> int:
         return _fail("shift", inputs, args.q, exc, "error")
     inputs["values"] = list(spectrum.values)
     report_feas = feasibility(spectrum, qp)
+    # JSON has no infinity, so a sum that overflowed is reported as null
     feas_dict = {
-        "endpoint_value": report_feas.endpoint_value,
-        "sufficient_bound": report_feas.sufficient_bound,
+        "endpoint_value": (report_feas.endpoint_value
+                           if math.isfinite(report_feas.endpoint_value) else None),
+        "sufficient_bound": (report_feas.sufficient_bound
+                             if math.isfinite(report_feas.sufficient_bound) else None),
         "feasible": report_feas.feasible,
     }
     try:

@@ -162,6 +162,26 @@ class Distribution:
         return self._array
 
 
+def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False):
+    """The deformed exponential [1 - (q-1) z_i]^(1/(q-1)) of an array z.
+
+    ``qm1`` is q - 1; at 0 this is exp(-z_i).  With ``slope`` it returns
+    the pair (p, p^(2-q)), where p^(2-q) = -dp/dz.  A negative base
+    raises :class:`DomainError`, or evaluates to 0 under ``cutoff``.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if qm1 == 0.0:
+            p = np.exp(-z)
+            return (p, p) if slope else p
+        base = 1.0 - qm1 * z
+        negative = base < 0.0
+        if not cutoff and negative.any():
+            raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
+        p = np.power(base, 1.0 / qm1, out=base)
+        p[negative] = 0.0  # the power of a negative base is nan or has the wrong sign
+        return (p, np.power(p, 1.0 - qm1)) if slope else p
+
+
 def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:
     """Evaluate the deformed exponential at x.
 
@@ -172,23 +192,7 @@ def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:
     xv = float(x)
     if not math.isfinite(xv):
         raise RangeError(f"argument must be finite, got {x!r}")
-    if q.is_classical:
-        try:
-            return math.exp(-xv)
-        except OverflowError:
-            return math.inf
-    base = 1.0 - (q.q - 1.0) * xv
-    if base < 0.0:
-        if mode is Mode.STRICT:
-            raise DomainError(f"negative base {base} at x={xv}, q={q.q}")
-        return 0.0
-    expo = 1.0 / (q.q - 1.0)
-    if base == 0.0:
-        return 0.0 if expo > 0.0 else math.inf
-    try:
-        return base ** expo
-    except OverflowError:
-        return math.inf
+    return float(_deformed_exp(np.array([xv]), q.q - 1.0, cutoff=mode is Mode.CUTOFF)[0])
 
 
 def inverse_q_factor(p: float, q: QParam, a: float = 0.0) -> float:

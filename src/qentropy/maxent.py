@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum
+from .core import Distribution, QParam, Spectrum, _deformed_exp
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -27,7 +27,7 @@ from .errors import (
     NormalizationError,
     RangeError,
 )
-from .shift import ShiftSolution, shifted_distribution
+from .shift import ShiftSolution, _newton_in_bracket, feasibility, shifted_distribution
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,7 @@ def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
     :class:`DomainError` (strict policy).
     """
     a = shift_from_alpha(q, params.alpha)
-    x = params.beta * params.energies.as_array()
-    if q.is_classical:
-        with np.errstate(over="ignore"):
-            probs = np.exp(a - x)
-    else:
-        qm1 = q.q - 1.0
-        base = 1.0 - qm1 * (x - a)
-        if (base < 0.0).any():
-            raise DomainError(f"multipliers give a negative base for q={q.q}")
-        with np.errstate(over="ignore", divide="ignore"):
-            probs = np.power(base, 1.0 / qm1)
+    probs = _deformed_exp(params.beta * params.energies.as_array() - a, q.q - 1.0)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise NormalizationError(f"multipliers inconsistent: probabilities sum to {total}")
@@ -122,9 +112,8 @@ def _feasible_beta_caps(q: QParam, energies: Spectrum) -> tuple[float, float]:
     if not q.is_super_unit:
         return (-math.inf, math.inf)
     qm1 = q.q - 1.0
-    eps = energies.as_array()
-    s_plus = float(np.power(qm1 * (energies.x_max - eps), 1.0 / qm1).sum())
-    s_minus = float(np.power(qm1 * (eps - energies.x_min), 1.0 / qm1).sum())
+    s_plus = feasibility(energies, q).endpoint_value
+    s_minus = feasibility(energies.scaled(-1.0), q).endpoint_value
     # the endpoint sum scales like |beta|^(1/(q-1)); stay a relative 1e-3
     # inside the boundary, where the root is still resolvable in doubles
     # (at the boundary itself the partition slope can be singular)
@@ -144,10 +133,13 @@ def solve_beta(
 
     The target must lie strictly inside the open energy hull (with a
     one-point spectrum only the single energy itself is allowed).  The
-    solve brackets a sign change of U(beta) - target over an expanding
-    symmetric interval -- clipped, for q > 1, to the beta range that
-    keeps the scaled spectrum solvable -- and then bisects.  Raises
-    :class:`RangeError` for targets outside the hull,
+    mean energy U falls strictly as beta grows, with
+    dU/dbeta = (sum w eps)^2 / sum w - sum w eps^2 for w_i = p_i^(2-q),
+    so the sign of target - U(0) picks the side of the root.  The solve
+    doubles |beta| on that side -- clipped, for q > 1, to the beta range
+    that keeps the scaled spectrum solvable -- until target - U changes
+    sign, then runs bracketed Newton steps on that analytic slope.
+    Raises :class:`RangeError` for targets outside the hull,
     :class:`BracketError` when no sign change exists in the feasible
     range, and :class:`ConvergenceError` on budget exhaustion.
     """
@@ -165,66 +157,48 @@ def solve_beta(
             f"target {target_u} outside the open hull ({energies.x_min}, {energies.x_max})"
         )
 
-    def gap(beta: float) -> tuple[float, Distribution]:
-        dist, _ = maxent_distribution(q, energies, beta)
-        return mean_energy(dist, energies) - target_u, dist
+    eps = energies.as_array()
+    solved: dict[float, tuple[float, float, Distribution]] = {}
 
-    cap_neg, cap_pos = _feasible_beta_caps(q, energies)
+    def fd(beta: float) -> tuple[float, float]:
+        """target - U(beta), increasing in beta, and its slope; one shift solve per beta."""
+        if beta not in solved:
+            dist, _ = maxent_distribution(q, energies, beta)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                w = np.power(dist.as_array(), 2.0 - q.q)
+                sw, swe, swe2 = w.sum(), (w * eps).sum(), (w * eps * eps).sum()
+                slope = float(swe2 - swe * swe / sw)
+            solved[beta] = (target_u - mean_energy(dist, energies), slope, dist)
+        return solved[beta][:2]
 
-    g0, dist0 = gap(0.0)
+    g0 = fd(0.0)[0]
     if abs(g0) <= tol:
-        return 0.0, dist0
-    # points evaluated so far, kept sorted by beta
-    points: list[tuple[float, float]] = [(0.0, g0)]
+        return 0.0, solved[0.0][2]
 
-    def bracket_from(points: list[tuple[float, float]]) -> tuple[float, float, float, float] | None:
-        for (b1, g1), (b2, g2) in zip(points, points[1:]):
-            if (g1 < 0.0) != (g2 < 0.0):
-                return b1, g1, b2, g2
-        return None
+    side = 1.0 if g0 < 0.0 else -1.0
+    cap_neg, cap_pos = _feasible_beta_caps(q, energies)
+    cap = cap_pos if side > 0.0 else cap_neg
+    near, reach = 0.0, 1.0
+    while True:
+        far = side * min(reach, abs(cap))
+        try:
+            g = fd(far)[0]
+        except (InfeasibleError, ConvergenceError) as exc:
+            raise BracketError(f"no usable probe for target {target_u} at beta {far}") from exc
+        if side * g >= 0.0:
+            break
+        if far == cap or reach >= 2.0**80:
+            raise BracketError(
+                f"no sign change for target {target_u} within the feasible beta range"
+            )
+        near, reach = far, 2.0 * reach
+    lo, hi = sorted((near, far))
 
-    radius = 1.0
-    lo_done = hi_done = False
-    while not (lo_done and hi_done):
-        if not hi_done:
-            b = min(radius, cap_pos)
-            hi_done = b == cap_pos
-            try:
-                points.append((b, gap(b)[0]))
-            except (InfeasibleError, ConvergenceError):
-                hi_done = True  # unusable boundary probe; stop expanding
-        if not lo_done:
-            b = max(-radius, cap_neg)
-            lo_done = b == cap_neg
-            try:
-                points.insert(0, (b, gap(b)[0]))
-            except (InfeasibleError, ConvergenceError):
-                lo_done = True
-        found = bracket_from(points)
-        if found is not None:
-            break
-        radius *= 2.0
-        if radius > 2.0**80:
-            break
-    found = bracket_from(points)
-    if found is None:
-        raise BracketError(
-            f"no sign change for target {target_u} within the feasible beta range"
-        )
-    b_lo, g_lo, b_hi, _ = found
-
-    for _ in range(max_iter):
-        mid = 0.5 * (b_lo + b_hi)
-        if mid == b_lo or mid == b_hi:
-            break
-        g_mid, dist = gap(mid)
-        if abs(g_mid) <= tol:
-            return mid, dist
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            b_lo, g_lo = mid, g_mid
-        else:
-            b_hi = mid
-    raise ConvergenceError(f"beta bisection stalled for target {target_u}")
+    beta, g, _, _ = _newton_in_bracket(fd, hi, lo, hi, tol, max_iter)
+    if abs(g) > tol:
+        raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
+                               f"for target {target_u}")
+    return beta, solved[beta][2]
 
 
 def stationarity_residual(
@@ -284,20 +258,20 @@ def escort_distribution(
     x = beta * energies.as_array()
 
     if qt == 1.0:
-        shifted = np.exp(-(x - x.min()))
+        shifted = _deformed_exp(x - x.min(), 0.0)
         p = shifted / shifted.sum()
         return EscortSolution(Distribution(p.tolist()), 0.0, 0, True)
 
-    expo = 1.0 / (1.0 - qt)
+    # the map's factor is the deformed exponential at q = 2 - q_tilde
+    qm1 = 1.0 - qt
 
     def apply_map(p: np.ndarray) -> tuple[np.ndarray, bool]:
         weights = np.power(p, qt)
         denom = float(weights.sum())
         xbar = float((weights * x).sum()) / denom
-        brackets = 1.0 - (1.0 - qt) * (x - xbar) / denom
-        went_negative = bool((brackets < 0.0).any())
-        with np.errstate(over="ignore", divide="ignore"):
-            raw = np.where(brackets > 0.0, np.power(np.maximum(brackets, 0.0), expo), 0.0)
+        z = (x - xbar) / denom
+        went_negative = bool((qm1 * z > 1.0).any())  # a base 1 - qm1 z below 0
+        raw = _deformed_exp(z, qm1, cutoff=True)
         total = float(raw.sum())
         if not math.isfinite(total) or total <= 0.0:
             raise DomainError("escort map left its domain (unnormalizable iterate)")

@@ -21,23 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum
-from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
+from .core import Distribution, QParam, Spectrum, _deformed_exp
+from .errors import ConvergenceError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
 RESIDUAL_BOUND = 1e-10
 
-# bisection narrows the bracket to this width before Newton polishing.
-_COARSE_WIDTH = 1e-8
-
-# brackets stay this relative margin inside open domain endpoints, where
-# the q < 1 sum diverges.
-_ENDPOINT_MARGIN = 1e-13
-
 
 class SolveMethod(enum.Enum):
-    BISECTION = "bisection"
-    BISECTION_THEN_NEWTON = "bisection_then_newton"
+    BISECTION = "bisection"  # a q > 1 root on the domain endpoint, taken as is
+    BISECTION_THEN_NEWTON = "bisection_then_newton"  # bracketed Newton steps
     CLOSED_FORM = "closed_form"
 
 
@@ -83,17 +76,7 @@ def domain_interval(spectrum: Spectrum, q: QParam) -> tuple[float, float]:
 
 def partition_value(a: float, spectrum: Spectrum, q: QParam) -> float:
     """f(a): the partition sum at shift a.  Strictly increasing in a."""
-    x = spectrum.as_array()
-    if q.is_classical:
-        with np.errstate(over="ignore"):
-            return float(np.exp(a - x).sum())
-    qm1 = q.q - 1.0
-    base = 1.0 - qm1 * (x - a)
-    if (base < 0.0).any():
-        raise DomainError(f"shift {a} outside the valid domain for q={q.q}")
-    with np.errstate(over="ignore", divide="ignore"):
-        terms = np.power(base, 1.0 / qm1)
-    return float(terms.sum())
+    return float(_deformed_exp(spectrum.as_array() - a, q.q - 1.0).sum())
 
 
 def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
@@ -103,20 +86,10 @@ def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
     derivative is singular at a base of exactly zero, which raises
     :class:`SingularityError`.
     """
-    x = spectrum.as_array()
-    if q.is_classical:
-        with np.errstate(over="ignore"):
-            return float(np.exp(a - x).sum())
-    qm1 = q.q - 1.0
-    base = 1.0 - qm1 * (x - a)
-    if (base < 0.0).any():
-        raise DomainError(f"shift {a} outside the valid domain for q={q.q}")
-    expo = 1.0 / qm1 - 1.0
-    if expo < 0.0 and (base == 0.0).any():
+    _, slope = _deformed_exp(spectrum.as_array() - a, q.q - 1.0, slope=True)
+    if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
         raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
-    with np.errstate(over="ignore", divide="ignore"):
-        terms = np.power(base, expo)
-    return float(terms.sum())
+    return float(slope.sum())
 
 
 def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
@@ -124,20 +97,53 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
 
     Trivially feasible for q <= 1 (f sweeps (0, inf)); for q > 1 the
     exact endpoint sum decides, and the cruder W-times-max-term bound is
-    reported alongside it.
+    reported alongside it.  Either sum is inf where it overflows.
     """
     if not q.is_super_unit:
         return FeasibilityReport(endpoint_value=0.0, sufficient_bound=0.0, feasible=True)
     qm1 = q.q - 1.0
     x = spectrum.as_array()
-    terms = np.power(qm1 * (spectrum.x_max - x), 1.0 / qm1)
-    endpoint_value = float(terms.sum())
-    sufficient_bound = spectrum.W * (qm1 * (spectrum.x_max - spectrum.x_min)) ** (1.0 / qm1)
+    # the endpoint terms in gap form, which keeps a zero gap exactly zero
+    with np.errstate(over="ignore"):
+        endpoint_value = float(np.power(qm1 * (spectrum.x_max - x), 1.0 / qm1).sum())
+        max_term = np.power(qm1 * (spectrum.x_max - spectrum.x_min), 1.0 / qm1)
     return FeasibilityReport(
         endpoint_value=endpoint_value,
-        sufficient_bound=float(sufficient_bound),
+        sufficient_bound=float(spectrum.W * max_term),
         feasible=endpoint_value <= 1.0,
     )
+
+
+def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter: int):
+    """Root of an increasing g on [lo, hi], given g(lo) <= 0 <= g(hi).
+
+    ``fd(x)`` returns (g(x), g'(x)).  The iteration starts at x and
+    moves each evaluated point onto the matching end of the bracket.
+    The next point is the Newton step when it lands strictly inside the
+    bracket, and the midpoint otherwise.  It stops once |g| <= tol,
+    after ``max_iter`` evaluations, or when no float is left between
+    the ends.  Returns (x, g(x), (lo, hi), evaluations) for the
+    evaluated x of smallest |g|.
+    """
+    best = (x, math.inf)
+    for evaluations in range(1, max_iter + 1):
+        g, dg = fd(x)
+        if abs(g) < abs(best[1]):
+            best = (x, g)
+        if abs(g) <= tol:
+            break
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - g / dg if dg > 0.0 else math.nan
+        if lo < step < hi:
+            x = step
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+    return best[0], best[1], (lo, hi), evaluations
 
 
 def _closed_form(spectrum: Spectrum, q: QParam) -> float | None:
@@ -163,10 +169,12 @@ def solve_shift(
 
     Closed forms short-circuit W = 1 (any q), q = 1 and q = 2 unless
     ``use_closed_forms`` is false.  The generic path brackets the root
-    (guaranteed by monotonicity and the limits of f), bisects the
-    bracket to coarse width, then polishes with Newton steps using
-    :func:`partition_derivative`; if a Newton step leaves the bracket or
-    hits a singular derivative the solve falls back to pure bisection.
+    in closed form.  Term i equals 1/n at a = x_i - z_n, so
+    f(x_min - z_2W) <= 1/2 and f(x_min) >= 1; the lower end is clipped
+    up to the domain endpoint for q > 1.  Newton steps on f, with f'
+    from the same kernel pass, start at x_max - z_W, where f >= 1, and
+    shrink the bracket, falling back to bisection whenever a step would
+    leave it.  ``iterations`` counts those kernel passes.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the iteration budget is exhausted with
@@ -183,150 +191,52 @@ def solve_shift(
             f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
         )
 
+    x = spectrum.as_array()
+    qm1 = q.q - 1.0
+
+    def fd(a: float) -> tuple[float, float]:
+        # bases a rounding error below zero at the q > 1 endpoint count as 0
+        p, slope = _deformed_exp(x - a, qm1, slope=True, cutoff=True)
+        return float(p.sum()) - 1.0, float(slope.sum())
+
     if use_closed_forms:
         a0 = _closed_form(spectrum, q)
         if a0 is not None:
             if q.is_super_unit:
                 # a feasible q = 2 root can round a hair below the endpoint
-                a0 = max(a0, spectrum.x_max - 1.0 / (q.q - 1.0))
-            residual = partition_value(a0, spectrum, q) - 1.0
+                a0 = max(a0, spectrum.x_max - 1.0 / qm1)
+            residual = fd(a0)[0]
             if abs(residual) > RESIDUAL_BOUND:
                 raise ConvergenceError(f"closed form residual {residual} above bound")
             return ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM)
 
-    f = lambda a: partition_value(a, spectrum, q)
-    span = spectrum.x_max - spectrum.x_min
-    iterations = 0
+    def z(n: float) -> float:
+        """Term i of f equals 1/n at a = x_i - z(n)."""
+        return math.log(n) if q.is_classical else -math.expm1(-qm1 * math.log(n)) / qm1
 
-    # --- establish a bracket [lo, hi] with f(lo) < 1 < f(hi) ---
+    # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
+    # probability exceeds 1 below it.  The start, where every term is at
+    # least 1/W, is the root itself for a flat spectrum; the margin on
+    # each side of it leaves room to search past rounding noise there.
+    lo, hi = spectrum.x_min - z(2.0 * spectrum.W), spectrum.x_min
+    start = min(spectrum.x_max - z(spectrum.W), hi)
     if q.is_super_unit:
-        lo = spectrum.x_max - 1.0 / (q.q - 1.0)
-        f_lo = report.endpoint_value
-        if f_lo == 1.0:
-            # crossing degenerates to the domain endpoint itself
-            residual = partition_value(lo, spectrum, q) - 1.0
+        endpoint = spectrum.x_max - 1.0 / qm1
+        if report.endpoint_value == 1.0:
+            # the root is the endpoint itself, where f' can be singular
+            residual = fd(endpoint)[0]
             if abs(residual) > RESIDUAL_BOUND:
                 raise ConvergenceError(f"endpoint residual {residual} above bound")
-            return ShiftSolution(lo, residual, (lo, lo), 0, SolveMethod.BISECTION)
-        step = 1.0 + span
-        hi = lo + step
-        while f(hi) <= 1.0:
-            step *= 2.0
-            hi = lo + step
-            iterations += 1
-            if iterations > max_iter:
-                raise ConvergenceError("failed to bracket the root from above")
-    elif q.is_sub_unit:
-        endpoint = spectrum.x_min - 1.0 / (q.q - 1.0)
-        margin = _ENDPOINT_MARGIN * (1.0 + abs(endpoint))
-        hi = endpoint - margin
-        while f(hi) <= 1.0:
-            # f diverges at the endpoint, so shrinking the margin must
-            # eventually put f(hi) above 1
-            margin *= 0.5
-            hi = endpoint - margin
-            iterations += 1
-            if iterations > max_iter or hi == endpoint:
-                raise ConvergenceError("failed to bracket the root below the endpoint")
-        step = 1.0 + span
-        lo = hi - step
-        while f(lo) >= 1.0:
-            step *= 2.0
-            lo = hi - step
-            iterations += 1
-            if iterations > max_iter:
-                raise ConvergenceError("failed to bracket the root from below")
-    else:
-        # q = 1 with closed forms disabled
-        f0 = f(0.0)
-        if f0 < 1.0:
-            lo, step = 0.0, 1.0
-            hi = step
-            while f(hi) <= 1.0:
-                lo = hi
-                step *= 2.0
-                hi = step
-                iterations += 1
-                if iterations > max_iter:
-                    raise ConvergenceError("failed to bracket the root from above")
-        else:
-            hi, step = 0.0, 1.0
-            lo = -step
-            while f(lo) >= 1.0:
-                hi = lo
-                step *= 2.0
-                lo = -step
-                iterations += 1
-                if iterations > max_iter:
-                    raise ConvergenceError("failed to bracket the root from below")
+            return ShiftSolution(endpoint, residual, (endpoint, endpoint), 0,
+                                 SolveMethod.BISECTION)
+        lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
 
-    # --- coarse bisection ---
-    while hi - lo > _COARSE_WIDTH and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        iterations += 1
-        if fm == 1.0:
-            return ShiftSolution(mid, 0.0, (lo, hi), iterations, SolveMethod.BISECTION)
-        if fm < 1.0:
-            lo = mid
-        else:
-            hi = mid
-
-    # --- Newton polish inside the bracket ---
-    a = 0.5 * (lo + hi)
-    residual = f(a) - 1.0
-    iterations += 1
-    newton_steps = 0
-    newton_failed = False
-    while abs(residual) > tol:
-        if iterations >= max_iter:
-            break
-        if residual < 0.0:
-            lo = a
-        else:
-            hi = a
-        try:
-            deriv = partition_derivative(a, spectrum, q)
-        except SingularityError:
-            newton_failed = True
-            break
-        if not math.isfinite(deriv) or deriv <= 0.0:
-            newton_failed = True
-            break
-        candidate = a - residual / deriv
-        if not (lo < candidate < hi):
-            newton_failed = True
-            break
-        a = candidate
-        residual = f(a) - 1.0
-        iterations += 1
-        newton_steps += 1
-
-    method = SolveMethod.BISECTION_THEN_NEWTON if newton_steps else SolveMethod.BISECTION
-
-    if newton_failed or (abs(residual) > tol and iterations < max_iter):
-        # pure-bisection fallback; the bracket is still valid
-        method = SolveMethod.BISECTION
-        while iterations < max_iter:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # bracket narrowed to float resolution
-            fm = f(mid)
-            iterations += 1
-            a = mid
-            residual = fm - 1.0
-            if abs(residual) <= tol:
-                break
-            if fm < 1.0:
-                lo = mid
-            else:
-                hi = mid
-
+    a0, residual, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, max_iter)
     if abs(residual) > RESIDUAL_BOUND:
         raise ConvergenceError(
             f"solver stopped with residual {residual} after {iterations} iterations"
         )
-    return ShiftSolution(a, residual, (lo, hi), iterations, method)
+    return ShiftSolution(a0, residual, bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON)
 
 
 def shifted_distribution(
@@ -343,18 +253,5 @@ def shifted_distribution(
     """
     solution = solve_shift(spectrum, q, tol=tol, max_iter=max_iter,
                            use_closed_forms=use_closed_forms)
-    x = spectrum.as_array()
-    if q.is_classical:
-        probs = np.exp(solution.a0 - x)
-    else:
-        qm1 = q.q - 1.0
-        base = 1.0 - qm1 * (x - solution.a0)
-        # roundoff can push the boundary base a hair negative even though
-        # a0 lies inside the domain; clamp strictly tiny excursions only
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(qm1) * (abs(solution.a0) + np.abs(x).max()))
-        if (base < -slack).any():
-            raise DomainError(f"solved shift {solution.a0} produced a negative base")
-        base = np.maximum(base, 0.0)
-        with np.errstate(over="ignore", divide="ignore"):
-            probs = np.power(base, 1.0 / qm1)
+    probs = _deformed_exp(spectrum.as_array() - solution.a0, q.q - 1.0, cutoff=True)
     return Distribution(probs.tolist()), solution

@@ -46,6 +46,17 @@ class TestShiftCommand:
         assert report["status"] == "infeasible"
         assert report["results"]["feasibility"]["endpoint_value"] == 2.0
 
+    def test_overflowing_feasibility_sums_exit_two(self, capsys, spectrum_file):
+        path = spectrum_file([0, 1e300])
+        code = cli.main(["shift", path, "--q", "1.5"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("\n") == 1  # exactly one report
+        report = json.loads(out)
+        assert report["status"] == "infeasible"
+        assert report["results"]["feasibility"] == {
+            "endpoint_value": None, "sufficient_bound": None, "feasible": False}
+
     def test_classical(self, capsys, spectrum_file):
         path = spectrum_file([0, 1])
         code, report = run(capsys, "shift", path, "--q", "1")

@@ -140,6 +140,24 @@ class TestSolveBeta:
         check, _ = maxent_distribution(QParam(0.5), UNIT, beta)
         assert abs(mean_energy(check, UNIT) - 0.4) <= 1e-10
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.5])
+    def test_round_trip_against_oracle_targets(self, q):
+        rng = np.random.default_rng(53)
+        for _ in range(15):
+            values = rng.uniform(0, 1, rng.integers(2, 24)).tolist()
+            if q > 1.0:
+                cap_neg, cap_pos = oracles.feasible_beta_caps(values, q)
+                cap = cap_pos if rng.random() < 0.5 else cap_neg
+                beta_star = float(rng.uniform(0.05, 0.95)) * cap
+            else:
+                beta_star = float(rng.uniform(-3.0, 3.0))
+            scaled = [beta_star * v for v in values]
+            a0 = oracles.solve_shift(scaled, q)
+            target = math.fsum(oracles.q_power(x - a0, q) * v for x, v in zip(scaled, values))
+            beta, dist = solve_beta(QParam(q), Spectrum(values), target)
+            assert abs(mean_energy(dist, Spectrum(values)) - target) <= 1e-10
+            assert beta == pytest.approx(beta_star, rel=1e-6, abs=1e-7)
+
     def test_target_outside_hull_rejected(self):
         with pytest.raises(RangeError):
             solve_beta(QParam(1), UNIT, 1.0)

@@ -24,6 +24,8 @@ from qentropy import (
 
 PAIR = Spectrum([0.0, 0.4])
 UNIT = Spectrum([0.0, 1.0])
+# ranges so wide that the largest probability is 1 to double precision
+HUGE_RANGES = [(Spectrum([0.0, 1e300]), QParam(0.5)), (Spectrum([0.0, 1e40]), QParam(0.5))]
 
 
 class TestPartitionValue:
@@ -131,6 +133,12 @@ class TestFeasibility:
             assert rep.endpoint_value == 0.0
             assert rep.feasible
 
+    def test_overflowing_sums_are_infinite_and_infeasible(self):
+        rep = feasibility(Spectrum([0.0, 1e300]), QParam(1.5))
+        assert rep.endpoint_value == math.inf
+        assert rep.sufficient_bound == math.inf
+        assert not rep.feasible
+
     def test_bound_dominates_exact_value(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -174,10 +182,12 @@ class TestSolveShift:
 
     def test_residual_contract_and_domain_placement(self):
         rng = np.random.default_rng(23)
-        for _ in range(150):
-            spectrum = Spectrum(rng.uniform(0, 1, rng.integers(1, 64)).tolist())
-            q = QParam(rng.uniform(0.1, 0.9))
+        cases = [(Spectrum(rng.uniform(0, 1, rng.integers(1, 64)).tolist()),
+                  QParam(rng.uniform(0.1, 0.9))) for _ in range(150)]
+        cases += HUGE_RANGES
+        for spectrum, q in cases:
             sol = solve_shift(spectrum, q)
+            assert sol.iterations <= 8
             assert abs(sol.residual) <= 1e-10
             assert sol.a0 <= spectrum.x_min - 1.0 / (q.q - 1.0)
             assert abs(partition_value(sol.a0, spectrum, q) - 1.0) <= 1e-10
@@ -234,10 +244,12 @@ class TestShiftedDistribution:
 
     def test_sum_and_order(self):
         rng = np.random.default_rng(37)
-        for _ in range(40):
-            values = rng.uniform(0, 1, rng.integers(2, 48)).tolist()
-            q = QParam(float(rng.uniform(0.15, 0.95)))
+        cases = [(rng.uniform(0, 1, rng.integers(2, 48)).tolist(),
+                  QParam(float(rng.uniform(0.15, 0.95)))) for _ in range(40)]
+        cases += [(list(spectrum.values), q) for spectrum, q in HUGE_RANGES]
+        for values, q in cases:
             dist, sol = shifted_distribution(Spectrum(values), q)
+            assert all(0.0 <= p <= 1.0 for p in dist.probs)
             assert abs(math.fsum(dist.probs) - 1.0) <= 1e-10
             # larger value => smaller probability, in the input order
             order = np.argsort(values)
