@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -90,76 +90,87 @@ class QParam:
         return cls(2.0 - float(q_tilde))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Finite list of real values x_1..x_W (duplicates allowed, W >= 1)."""
+class _FrozenVector:
+    """Validated 1-D values held in one read-only float64 array.
 
-    values: tuple[float, ...]
-    x_min: float = field(init=False)
-    x_max: float = field(init=False)
+    The input -- list, tuple, array or iterable -- is copied once, and
+    ``as_array`` returns that copy.  Instances are immutable and equal when
+    their values are; subclasses view them as tuples of Python floats too.
+    """
 
-    def __init__(self, values: Iterable[float]):
-        vals = tuple(float(v) for v in values)
-        if not vals:
-            raise EmptyError("spectrum requires at least one value")
-        if not all(math.isfinite(v) for v in vals):
-            raise RangeError("spectrum values must all be finite")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "x_min", min(vals))
-        object.__setattr__(self, "x_max", max(vals))
+    def __init__(self, values: Iterable[float], what: str):
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)  # np.array would wrap a generator as a 0-d object array
+        arr = np.array(values, dtype=float)
+        if arr.ndim != 1:
+            raise TypeError(f"{what} must be one-dimensional, got shape {arr.shape}")
+        if arr.size == 0:
+            raise EmptyError(f"{what} requires at least one value")
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
 
     @property
     def W(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return self._array.size
 
     def as_array(self) -> np.ndarray:
         return self._array
+
+    @cached_property
+    def _tuple(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._array.tolist()!r})"
+
+
+class Spectrum(_FrozenVector):
+    """Finite list of real values x_1..x_W (duplicates allowed, W >= 1)."""
+
+    def __init__(self, values: Iterable[float]):
+        super().__init__(values, "spectrum")
+        if not np.isfinite(self._array).all():
+            raise RangeError("spectrum values must all be finite")
+        object.__setattr__(self, "x_min", float(self._array.min()))
+        object.__setattr__(self, "x_max", float(self._array.max()))
+
+    values = property(lambda self: self._tuple)  # built on first access, then cached
 
     def scaled(self, factor: float) -> "Spectrum":
         """Spectrum with every value multiplied by ``factor``."""
-        return Spectrum(factor * v for v in self.values)
+        return Spectrum(factor * self._array)
 
     def shifted(self, offset: float) -> "Spectrum":
         """Spectrum with ``offset`` added to every value."""
-        return Spectrum(v + offset for v in self.values)
+        return Spectrum(self._array + offset)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_FrozenVector):
     """Probability vector on W microstates; validated, stored unrenormalized."""
 
-    probs: tuple[float, ...]
-
     def __init__(self, probs: Iterable[float]):
-        vals = tuple(float(p) for p in probs)
-        if not vals:
-            raise EmptyError("distribution requires at least one probability")
-        for p in vals:
-            if not (0.0 <= p <= 1.0):  # also rejects NaN
-                raise RangeError(f"probability {p!r} outside [0, 1]")
-        total = math.fsum(vals)
+        super().__init__(probs, "distribution")
+        arr = self._array
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects NaN
+            bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
+            raise RangeError(f"probability {float(bad)!r} outside [0, 1]")
+        total = float(arr.sum())
+        # the pairwise sum is within W eps of the exact one: only this close can fsum differ
+        if abs(abs(total - 1.0) - NORMALIZATION_TOL) <= arr.size * 2.0**-52 * total:
+            total = math.fsum(arr)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NormalizationError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", vals)
 
-    @property
-    def W(self) -> int:
-        return len(self.probs)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.asarray(self.probs, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    def as_array(self) -> np.ndarray:
-        return self._array
+    probs = property(lambda self: self._tuple)  # built on first access, then cached
 
 
 def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False):

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, inverse_q_factor
+from .core import Distribution, QParam, Spectrum
 from .errors import DomainError, RangeError, StepError
 from .shift import shifted_distribution
 
@@ -56,19 +56,22 @@ class SweepTable:
 
 def uncertainty(p: Distribution, q: QParam) -> float:
     """The uncertainty measure I(p); >= 0, zero iff p is degenerate."""
-    if q.is_classical:
-        return bg_entropy(p)
-    probs = p.as_array()
-    s = float(np.power(probs, q.q).sum())
-    # "+ 0.0" normalizes a signed zero from the negative denominator at q < 1
-    return (1.0 - s) / (q.q * (q.q - 1.0)) + 0.0
+    return float(_measure(p.as_array(), q.q, q.q * (q.q - 1.0)))
 
 
 def bg_entropy(p: Distribution) -> float:
     """Boltzmann-Gibbs entropy -sum p ln p with 0 ln 0 := 0."""
-    probs = p.as_array()
-    positive = probs[probs > 0.0]
-    return float(-(positive * np.log(positive)).sum()) + 0.0
+    return float(_measure(p.as_array(), 1.0, 0.0))
+
+
+def _measure(probs: np.ndarray, q: float, denominator: float) -> np.ndarray:
+    """(1 - sum_i p_i^q) / denominator, or -sum_i p_i ln p_i at q = 1, along the last axis."""
+    if q == 1.0:
+        s = -(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)).sum(axis=-1)
+    else:
+        s = (1.0 - np.power(probs, q).sum(axis=-1)) / denominator
+    # "+ 0.0" normalizes a signed zero, as from the negative denominator at q < 1
+    return s + 0.0
 
 
 def tsallis_entropy(p: Distribution, q_tilde: float) -> float:
@@ -83,11 +86,7 @@ def tsallis_entropy(p: Distribution, q_tilde: float) -> float:
     qt = float(q_tilde)
     if not math.isfinite(qt) or qt <= 0.0:
         raise RangeError(f"tsallis index must be a finite real > 0, got {q_tilde!r}")
-    if qt == 1.0:
-        return bg_entropy(p)
-    probs = p.as_array()
-    s = float(np.power(probs, qt).sum())
-    return (1.0 - s) / (qt - 1.0) + 0.0
+    return float(_measure(p.as_array(), qt, qt - 1.0))
 
 
 def compose(p_a: Distribution, p_b: Distribution, q: QParam) -> CompositionResult:
@@ -97,7 +96,7 @@ def compose(p_a: Distribution, p_b: Distribution, q: QParam) -> CompositionResul
     nonextensive_term = -q.q * (q.q - 1.0) * i_a * i_b + 0.0
     formula_value = i_a + i_b + nonextensive_term
     joint = np.outer(p_a.as_array(), p_b.as_array()).ravel()
-    direct_value = uncertainty(Distribution(joint.tolist()), q)
+    direct_value = uncertainty(Distribution(joint), q)
     return CompositionResult(i_a, i_b, formula_value, direct_value, nonextensive_term)
 
 
@@ -126,11 +125,10 @@ def two_state_sweep(q_list: Sequence[QParam], n_points: int = 201) -> SweepTable
     if not params:
         raise RangeError("need at least one q value to sweep")
     headers = ("p1",) + tuple(f"I_q={qp.q!r}" for qp in params)
-    rows = []
-    for p1 in np.linspace(0.0, 1.0, n_points):
-        dist = Distribution((float(p1), float(1.0 - p1)))
-        rows.append((float(p1),) + tuple(uncertainty(dist, qp) for qp in params))
-    return SweepTable(headers, tuple(rows))
+    p1 = np.linspace(0.0, 1.0, n_points)
+    grid = np.stack((p1, 1.0 - p1), axis=1)  # one two-state vector per row
+    columns = [p1] + [_measure(grid, qp.q, qp.q * (qp.q - 1.0)) for qp in params]
+    return SweepTable(headers, tuple(zip(*(c.tolist() for c in columns))))
 
 
 def varentropy_residual(
@@ -162,7 +160,8 @@ def varentropy_residual(
         raise StepError(f"step {step} leaves the probability simplex")
 
     i_now = uncertainty(dist, q)
-    i_moved = uncertainty(Distribution(moved.tolist()), q)
-    xs = np.array([inverse_q_factor(float(pi), q, solution.a0) for pi in probs])
+    i_moved = uncertainty(Distribution(moved), q)
+    qm1 = q.q - 1.0
+    xs = (-np.log(probs) if q.is_classical else (1.0 - np.power(probs, qm1)) / qm1) + solution.a0
     pairing = float((xs * tangent).sum())
     return abs((i_moved - i_now) / step - pairing)

@@ -84,7 +84,7 @@ def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise NormalizationError(f"multipliers inconsistent: probabilities sum to {total}")
-    return Distribution(probs.tolist())
+    return Distribution(probs)
 
 
 def maxent_distribution(
@@ -260,7 +260,7 @@ def escort_distribution(
     if qt == 1.0:
         shifted = _deformed_exp(x - x.min(), 0.0)
         p = shifted / shifted.sum()
-        return EscortSolution(Distribution(p.tolist()), 0.0, 0, True)
+        return EscortSolution(Distribution(p), 0.0, 0, True)
 
     # the map's factor is the deformed exponential at q = 2 - q_tilde
     qm1 = 1.0 - qt
@@ -285,9 +285,9 @@ def escort_distribution(
         if residual <= tol:
             if went_negative:
                 raise DomainError("escort fixed point has a negative bracket")
-            return EscortSolution(Distribution(p.tolist()), residual, updates, True)
+            return EscortSolution(Distribution(p), residual, updates, True)
         if updates >= max_iter:
-            last = EscortSolution(Distribution(p.tolist()), residual, updates, False)
+            last = EscortSolution(Distribution(p), residual, updates, False)
             raise NonConvergenceError(
                 f"escort iteration stalled at residual {residual} after {updates} updates",
                 solution=last,

@@ -254,4 +254,4 @@ def shifted_distribution(
     solution = solve_shift(spectrum, q, tol=tol, max_iter=max_iter,
                            use_closed_forms=use_closed_forms)
     probs = _deformed_exp(spectrum.as_array() - solution.a0, q.q - 1.0, cutoff=True)
-    return Distribution(probs.tolist()), solution
+    return Distribution(probs), solution

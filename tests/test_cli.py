@@ -175,6 +175,21 @@ class TestSweepCommand:
         )
         assert abs(crossing - (-0.45332625271905566)) < 0.15
 
+    @pytest.mark.parametrize("w, q", [(5, "0.5"), (5, "1"), (5, "1.5"), (30000, "0.8")])
+    def test_partition_rows_equal_partition_value(self, capsys, tmp_path, spectrum_file, w, q):
+        from qentropy import QParam, Spectrum, partition_value
+
+        # W = 30000 spreads the 200 rows over several evaluation blocks
+        values = [0.0, 0.3, 0.35, 1.2, 2.0] if w == 5 else [i / w for i in range(w)]
+        out = tmp_path / "partition.csv"
+        code, _ = run(capsys, "sweep", "--partition", "--spectrum", spectrum_file(values),
+                      "--q", q, "--points", "200", "--out", str(out))
+        assert code == 0
+        rows = cli.read_sweep_csv(str(out)).rows
+        spectrum, qp = Spectrum(values), QParam(float(q))
+        assert [f for _, f in rows] == [partition_value(a, spectrum, qp) for a, _ in rows]
+        assert all(x[1] < y[1] for x, y in zip(rows, rows[1:]))
+
     def test_partition_needs_spectrum(self, capsys, tmp_path):
         code = cli.main(["sweep", "--partition", "--q", "0.5",
                          "--out", str(tmp_path / "x.csv")])

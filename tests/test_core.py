@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from qentropy import (
     q_factor,
     validate_distribution,
 )
+from qentropy.core import NORMALIZATION_TOL
 
 # q values away from the removable q = 1 point, plus the exact classical case
 q_values = st.one_of(
@@ -168,3 +170,84 @@ class TestValidateDistribution:
     def test_stored_unrenormalized(self):
         probs = (0.5 + 1e-10, 0.5)
         assert Distribution(probs).probs == probs
+
+
+class TestValueTypeContract:
+    """Spectrum and Distribution: one read-only float64 array behind tuple views."""
+
+    def test_later_mutation_of_the_source_does_not_leak_in(self):
+        values = np.array([0.0, 0.4, 1.0])
+        spectrum = Spectrum(values)
+        values[:] = 7.0
+        assert spectrum.values == (0.0, 0.4, 1.0)
+        assert (spectrum.x_min, spectrum.x_max) == (0.0, 1.0)
+        probs = [0.25, 0.75]
+        dist = Distribution(probs)
+        probs[0] = 0.5
+        assert dist.probs == (0.25, 0.75)
+
+    def test_storage_is_read_only_and_instances_frozen(self):
+        for obj in (Spectrum([0.0, 1.0]), Distribution([0.5, 0.5])):
+            with pytest.raises(ValueError):
+                obj.as_array()[0] = 0.3
+            with pytest.raises(AttributeError):
+                obj.extra = 1.0
+            assert obj.as_array().dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "cls, values", [(Spectrum, [0.0, 0.4, -1.5, 0.4]), (Distribution, [0.25, 0.5, 0.25])]
+    )
+    def test_list_tuple_array_and_generator_inputs_agree(self, cls, values):
+        made = [cls(values), cls(tuple(values)), cls(np.array(values)), cls(v for v in values)]
+        assert all(obj == made[0] for obj in made)
+        assert len({hash(obj) for obj in made}) == 1
+
+    @pytest.mark.parametrize("cls", [Spectrum, Distribution])
+    def test_rejects_two_dimensional_input(self, cls):
+        for nested in ([[0.5], [0.5]], np.array([[0.5, 0.5]]), np.array([[0.5], [0.5]])):
+            with pytest.raises(TypeError):
+                cls(nested)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spectrum_rejects_nonfinite(self, bad):
+        with pytest.raises(RangeError):
+            Spectrum(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, 1.0 + 1e-15, math.inf])
+    def test_distribution_names_the_offending_probability(self, bad):
+        with pytest.raises(RangeError, match=f"probability {bad!r} outside"):
+            Distribution(np.array([0.5, bad, 0.5]))
+
+    def test_views_are_tuples_of_python_floats(self):
+        spectrum = Spectrum(np.array([0.0, 0.4]))
+        dist = Distribution(np.array([0.5, 0.5]))
+        for view in (spectrum.values, dist.probs):
+            assert type(view) is tuple
+            assert all(type(v) is float for v in view)
+        assert spectrum.values is spectrum.values  # built once
+
+    def test_equality_compares_values(self):
+        assert Spectrum([0.0, 0.4]) == Spectrum(np.array([0.0, 0.4]))
+        assert Spectrum([0.0, 0.4]) != Spectrum([0.4, 0.0])
+        assert Spectrum([0.0]) != Spectrum([0.0, 0.0])
+        assert Spectrum([0.5, 0.5]) != Distribution([0.5, 0.5])
+        assert Distribution([1.0]) == Distribution((1.0,))
+
+    @pytest.mark.parametrize("w", [2, 7, 1000, 100_000])
+    def test_sum_decision_matches_fsum(self, w):
+        # exact sums stepped through 1 +- NORMALIZATION_TOL by a few ulps of 1
+        base = np.random.default_rng(w).random(w)
+        base /= base.sum()
+        decisions = set()
+        for sign in (1.0, -1.0):
+            for k in range(-24, 25):
+                probs = base.copy()
+                probs[-1] += 1.0 + sign * NORMALIZATION_TOL - math.fsum(probs) + k * 2.0**-53
+                accept = abs(math.fsum(probs) - 1.0) <= NORMALIZATION_TOL
+                decisions.add(accept)
+                if accept:
+                    Distribution(probs)
+                else:
+                    with pytest.raises(NormalizationError):
+                        Distribution(probs)
+        assert decisions == {True, False}

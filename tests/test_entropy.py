@@ -103,6 +103,17 @@ class TestBaselines:
         expected = -0.7 * math.log(0.7) - 0.3 * math.log(0.3)
         assert bg_entropy(Distribution([0.7, 0.3])) == pytest.approx(expected, abs=1e-15)
 
+    def test_bg_with_zero_probabilities_matches_oracle(self):
+        # zero terms join the pairwise sum, so compare within the rounding of W terms
+        rng = np.random.default_rng(17)
+        for w in (8, 50, 300):
+            raw = rng.random(w) * (rng.random(w) < 0.6)
+            probs = raw / raw.sum()
+            expected = oracles.uncertainty(probs.tolist(), 1.0)
+            dist = Distribution(probs)
+            for value in (bg_entropy(dist), uncertainty(dist, QParam(1))):
+                assert value == pytest.approx(expected, rel=w * 2.0**-52)
+
     def test_tsallis_values(self):
         half = Distribution([0.5, 0.5])
         assert tsallis_entropy(half, 2.0) == pytest.approx(0.5, abs=1e-15)
@@ -216,6 +227,15 @@ class TestTwoStateSweep:
     def test_rejects_tiny_grid(self):
         with pytest.raises(RangeError):
             two_state_sweep([QParam(1)], n_points=2)
+
+    def test_rows_equal_uncertainty_bit_for_bit(self):
+        params = [QParam(q) for q in (0.2, 0.5, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 1.5, 2.0, 3.0)]
+        table = two_state_sweep(params, n_points=2001)
+        for row in table.rows:
+            p1 = row[0]
+            dist = Distribution((p1, 1.0 - p1))
+            assert [v.hex() for v in row[1:]] == [uncertainty(dist, qp).hex() for qp in params]
+        assert [v.hex() for v in table.rows[0] + table.rows[-1][1:]] == ["0x0.0p+0"] * 17
 
 
 class TestVarentropyResidual:

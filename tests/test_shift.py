@@ -242,6 +242,15 @@ class TestShiftedDistribution:
         assert dist.probs[0] == pytest.approx(1 / z, abs=1e-12)
         assert dist.probs[1] == pytest.approx(math.exp(-1) / z, abs=1e-12)
 
+    def test_list_and_array_inputs_give_identical_probs(self):
+        values = np.random.default_rng(11).random(300)
+        for q, scale in ((0.5, 1.0), (1.0, 1.0), (1.5, 0.01), (3.0, 1e-6)):
+            xs = values * scale
+            from_list = shifted_distribution(Spectrum(xs.tolist()), QParam(q))
+            from_array = shifted_distribution(Spectrum(xs), QParam(q))
+            assert from_list[0].probs == from_array[0].probs
+            assert from_list[1] == from_array[1]
+
     def test_sum_and_order(self):
         rng = np.random.default_rng(37)
         cases = [(rng.uniform(0, 1, rng.integers(2, 48)).tolist(),
