@@ -173,24 +173,39 @@ class Distribution(_FrozenVector):
     probs = property(lambda self: self._tuple)  # built on first access, then cached
 
 
-def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False):
-    """The deformed exponential [1 - (q-1) z_i]^(1/(q-1)) of an array z.
+def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False, out=None):
+    """The deformed exponential [1 - (q-1) z_i]^(1/(q-1)) of a float array z.
 
     ``qm1`` is q - 1; at 0 this is exp(-z_i).  With ``slope`` it returns
-    the pair (p, p^(2-q)), where p^(2-q) = -dp/dz.  A negative base
-    raises :class:`DomainError`, or evaluates to 0 under ``cutoff``.
+    the pair (p, p^(2-q)), where p^(2-q) = -dp/dz = p / base.  A negative
+    base raises :class:`DomainError`, or evaluates to 0 under ``cutoff``.
+
+    ``z`` is scratch space and is overwritten.  Without ``slope`` p is
+    written over it; with ``slope`` p goes into ``out`` (a new array when
+    None).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if qm1 == 0.0:
-            p = np.exp(-z)
+            p = np.exp(np.negative(z, out=z), out=out if slope else z)
             return (p, p) if slope else p
-        base = 1.0 - qm1 * z
-        negative = base < 0.0
-        if not cutoff and negative.any():
+        z *= -qm1
+        z += 1.0  # the base 1 - qm1 z, bit for bit
+        lowest = np.minimum.reduce(z, None)
+        if lowest < 0.0 and not cutoff:
             raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
-        p = np.power(base, 1.0 / qm1, out=base)
-        p[negative] = 0.0  # the power of a negative base is nan or has the wrong sign
-        return (p, np.power(p, 1.0 - qm1)) if slope else p
+        # p is 0 at a negative base, whose power is nan or has the wrong sign,
+        # and for q > 1 at a zero base, where p / base would be 0/0; the
+        # slope there is p^(2-q) at p = 0
+        zero = (z <= 0.0 if qm1 > 0.0 else z < 0.0) if lowest <= 0.0 else None
+        p = np.power(z, 1.0 / qm1, out=out if slope else z)
+        if zero is not None:
+            p[zero] = 0.0
+        if not slope:
+            return p
+        dp = np.divide(p, z, out=z)
+        if zero is not None:
+            dp[zero] = np.power(0.0, 1.0 - qm1)
+        return p, dp
 
 
 def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:

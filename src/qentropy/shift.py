@@ -104,8 +104,10 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
     qm1 = q.q - 1.0
     x = spectrum.as_array()
     # the endpoint terms in gap form, which keeps a zero gap exactly zero
+    gaps = np.subtract(spectrum.x_max, x)
+    gaps *= qm1
     with np.errstate(over="ignore"):
-        endpoint_value = float(np.power(qm1 * (spectrum.x_max - x), 1.0 / qm1).sum())
+        endpoint_value = float(np.power(gaps, 1.0 / qm1, out=gaps).sum())
         max_term = np.power(qm1 * (spectrum.x_max - spectrum.x_min), 1.0 / qm1)
     return FeasibilityReport(
         endpoint_value=endpoint_value,
@@ -151,7 +153,9 @@ def _closed_form(spectrum: Spectrum, q: QParam) -> float | None:
         # single term equals 1 exactly when a = x_1, for every q
         return spectrum.x_min
     if q.is_classical:
-        return float(-np.logaddexp.reduce(-spectrum.as_array()))
+        # x_min - log sum exp(x_min - x_i): every term is at most 1, and one is 1
+        terms = np.subtract(spectrum.x_min, spectrum.as_array())
+        return spectrum.x_min - math.log(float(np.exp(terms, out=terms).sum()))
     if q.q == 2.0:
         # f is linear in a at q = 2, so f(a) = 1 solves exactly
         return (1.0 - spectrum.W + float(spectrum.as_array().sum())) / spectrum.W
@@ -193,22 +197,24 @@ def solve_shift(
 
     x = spectrum.as_array()
     qm1 = q.q - 1.0
+    a0 = _closed_form(spectrum, q) if use_closed_forms else None
+    # the workspace of every kernel pass, made once the closed form's temporary is freed
+    work, out = np.empty(spectrum.W), np.empty(spectrum.W)
 
     def fd(a: float) -> tuple[float, float]:
-        # bases a rounding error below zero at the q > 1 endpoint count as 0
-        p, slope = _deformed_exp(x - a, qm1, slope=True, cutoff=True)
-        return float(p.sum()) - 1.0, float(slope.sum())
+        # bases a rounding error below zero at the q > 1 endpoint count as 0;
+        # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
+        p, slope = _deformed_exp(np.subtract(x, a, work), qm1, True, True, out)
+        return float(np.add.reduce(p)) - 1.0, float(np.add.reduce(slope))
 
-    if use_closed_forms:
-        a0 = _closed_form(spectrum, q)
-        if a0 is not None:
-            if q.is_super_unit:
-                # a feasible q = 2 root can round a hair below the endpoint
-                a0 = max(a0, spectrum.x_max - 1.0 / qm1)
-            residual = fd(a0)[0]
-            if abs(residual) > RESIDUAL_BOUND:
-                raise ConvergenceError(f"closed form residual {residual} above bound")
-            return ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM)
+    if a0 is not None:
+        if q.is_super_unit:
+            # a feasible q = 2 root can round a hair below the endpoint
+            a0 = max(a0, spectrum.x_max - 1.0 / qm1)
+        residual = fd(a0)[0]
+        if abs(residual) > RESIDUAL_BOUND:
+            raise ConvergenceError(f"closed form residual {residual} above bound")
+        return ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM)
 
     def z(n: float) -> float:
         """Term i of f equals 1/n at a = x_i - z(n)."""

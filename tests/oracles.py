@@ -24,6 +24,12 @@ def partition(a: float, values, q: float) -> float:
     return math.fsum(q_power(x - a, q) for x in values)
 
 
+def classical_shift(values) -> float:
+    """Root of the q = 1 partition sum, -log sum exp(-x_i), shifted by x_min."""
+    m = min(values)
+    return m - math.log(math.fsum(math.exp(m - x) for x in values))
+
+
 def endpoint_sum(values, q: float) -> float:
     """Limit of the partition sum at the q > 1 domain endpoint."""
     xmax = max(values)

@@ -21,7 +21,7 @@ from qentropy import (
     q_factor,
     validate_distribution,
 )
-from qentropy.core import NORMALIZATION_TOL
+from qentropy.core import NORMALIZATION_TOL, _deformed_exp
 
 # q values away from the removable q = 1 point, plus the exact classical case
 q_values = st.one_of(
@@ -109,6 +109,42 @@ class TestQFactor:
         if qp.is_sub_unit and lo <= 1.0 / (qp.q - 1.0):
             return
         assert q_factor(lo, qp) > q_factor(hi, qp)
+
+
+class TestDeformedExpKernel:
+    """The array kernel: p, the slope p / base, and its edge values."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.5, 2.0, 2.5, 3.0])
+    def test_slope_is_the_power_two_minus_q(self, q):
+        base = np.random.default_rng(int(q * 10)).uniform(1e-3, 20.0, 5000)
+        p, slope = _deformed_exp((1.0 - base) / (q - 1.0), q - 1.0, slope=True)
+        expected = np.power(p, 2.0 - q)
+        assert np.all(np.abs(slope - expected) <= 4 * np.spacing(expected))
+
+    @pytest.mark.parametrize("q, slope_at_zero", [(0.5, math.inf), (1.5, 0.0), (2.0, 1.0),
+                                                  (3.0, math.inf)])
+    def test_slope_at_a_zero_base(self, q, slope_at_zero):
+        z = np.array([0.0, 1.0 / (q - 1.0), 0.25])  # bases 1, exactly 0, and 1 - (q-1)/4
+        p, slope = _deformed_exp(z, q - 1.0, slope=True)
+        assert p[1] == (0.0 if q > 1.0 else math.inf)
+        assert slope[1] == slope_at_zero
+        assert p[0] == slope[0] == 1.0
+
+    # the slope there is p^(2-q) at p = 0
+    @pytest.mark.parametrize("q, slope_at_zero", [(0.5, 0.0), (1.5, 0.0), (2.0, 1.0),
+                                                  (3.0, math.inf)])
+    def test_negative_bases_are_cut_off(self, q, slope_at_zero):
+        z = np.array([-4.0, 0.0, 4.0]) / (q - 1.0)  # bases 5, 1 and -3
+        p, slope = _deformed_exp(z.copy(), q - 1.0, slope=True, cutoff=True)
+        assert p[2] == 0.0 and p[1] == 1.0
+        assert slope[2] == slope_at_zero
+        assert _deformed_exp(z.copy(), q - 1.0, cutoff=True)[2] == 0.0
+
+    @pytest.mark.parametrize("q", [0.5, 1.5, 3.0])
+    def test_strict_mode_rejects_a_negative_base(self, q):
+        for slope in (False, True):
+            with pytest.raises(DomainError):
+                _deformed_exp(np.array([0.0, 4.0 / (q - 1.0)]), q - 1.0, slope=slope)
 
 
 class TestInverseQFactor:

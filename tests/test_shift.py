@@ -1,6 +1,7 @@
 """Tests for the partition sum, feasibility, and the shift solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,28 @@ class TestSolveShift:
             np.testing.assert_allclose(
                 moved_dist.as_array(), base_dist.as_array(), rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, -1e4, 1e6])
+    @pytest.mark.parametrize("span", [1e-3, 1.0, 1e3])
+    def test_classical_closed_form_within_two_ulps(self, span, offset):
+        values = np.random.default_rng(41).uniform(0.0, span, 100_000) + offset
+        expected = oracles.classical_shift(values.tolist())
+        assert abs(solve_shift(Spectrum(values), QParam(1)).a0 - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("q", [0.5, 0.8, 1.0, 1.5, 2.0])
+    def test_peak_memory_is_two_arrays(self, q):
+        w = 100_000
+        # a span of 1e-6 keeps q = 1.5 and q = 2 feasible at this W
+        spectrum = Spectrum(np.random.default_rng(43).uniform(0.0, 1e-6, w))
+        tracemalloc.start()
+        try:
+            for solve in (solve_shift, shifted_distribution):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                solve(spectrum, QParam(q))
+                assert tracemalloc.get_traced_memory()[1] - before <= 2 * 8 * w + 64 * 1024
+        finally:
+            tracemalloc.stop()
 
     def test_iteration_budget_is_respected(self):
         with pytest.raises(ConvergenceError):
