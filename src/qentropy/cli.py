@@ -1,10 +1,12 @@
 """Command-line front end: JSON run reports and CSV sweep emitters.
 
-Every subcommand prints a single JSON report object on standard output
-(CSV files are written for tabular sweeps) and uses the exit-code
-contract: 0 ok, 1 input/IO error, 2 mathematical infeasibility or
-non-convergence, 64 usage error.  All numbers are rendered with 17
-significant digits so emitted values round-trip doubles exactly.
+Every run but a usage error prints exactly one JSON report object on
+standard output (CSV files are written for tabular sweeps).  Handlers
+raise; the one table ``_FAILURES`` gives the status and ``_EXIT`` the
+exit code: 0 ok, 1 input/IO error, 2 mathematical infeasibility or
+non-convergence, 64 usage error, which includes a non-finite float
+argument.  All numbers are rendered with 17 significant digits so
+emitted values round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InfeasibleError,
-    NonConvergenceError,
     QentropyError,
     RangeError,
 )
 from .maxent import (
+    EscortSolution,
     escort_distribution,
     maxent_distribution,
     mean_energy,
@@ -88,11 +90,11 @@ def dumps_report(obj: Any) -> str:
 
 def write_sweep_csv(table: SweepTable, path: str) -> None:
     """Write a sweep table as RFC-4180-style CSV with LF line endings."""
+    rows = [[format_number(v) for v in row] for row in table.rows]  # before any file exists
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(table.headers)
-        for row in table.rows:
-            writer.writerow([format_number(v) for v in row])
+        writer.writerows(rows)
 
 
 def read_sweep_csv(path: str) -> SweepTable:
@@ -106,36 +108,55 @@ def read_sweep_csv(path: str) -> SweepTable:
 
 # --- report plumbing -----------------------------------------------------
 
-def _report(command: str, inputs: dict, q: float | None, results: dict, status: str) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "q": q,
-        "results": results,
-        "status": status,
-    }
+class _UsageError(ValueError):
+    """An argument combination that argparse cannot express; exits 64."""
 
 
-def _emit(report: dict, checks: Sequence[tuple[str, float, float]] = ()) -> int:
-    """Print the report; re-check residual contracts before claiming ok."""
-    if report["status"] == "ok":
-        for name, value, bound in checks:
-            if not abs(value) <= bound:
-                report["status"] = "error"
-                report["results"]["violated_contract"] = name
-                break
+_INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError, QentropyError)
+
+#: The one failure table: a run that raised takes the status of the first row
+#: its exception matches.  A row naming a command applies once that command's
+#: inputs hold ``values``: maxent's RangeError is then a target outside the
+#: open hull (solve_beta), not a bad q (QParam).
+_FAILURES = (
+    (None, _UsageError, "usage"),
+    (None, (InfeasibleError, ConvergenceError, BracketError), "infeasible"),
+    ("maxent", RangeError, "infeasible"),
+    (None, _INPUT_ERRORS, "error"),
+)
+_EXIT = {"ok": EXIT_OK, "error": EXIT_ERROR, "infeasible": EXIT_INFEASIBLE, "usage": EXIT_USAGE}
+_Checks = Sequence[tuple[str, float, float]]
+
+
+def _emit(report: dict, checks: _Checks = (), exc: Exception | None = None) -> int:
+    """Print the run's one report and return its exit code.
+
+    A finished run re-checks its (name, value, bound) residual contracts
+    before claiming ok.  A failed run reports ``exc``; an infeasible one
+    keeps what it had (shift's feasibility, escort's last iterate).
+    """
+    for name, value, bound in checks:
+        if not abs(value) <= bound:
+            report["status"] = "error"
+            report["results"]["violated_contract"] = name
+            break
+    if exc is not None:
+        loaded = "values" in report["inputs"]
+        status = next(status for command, types, status in _FAILURES
+                      if isinstance(exc, types)
+                      and (command is None or (loaded and command == report["command"])))
+        if status == "usage":
+            print(f"qentropy {report['command']}: error: {exc}", file=sys.stderr)
+            return _EXIT[status]
+        kept = {}
+        if status == "infeasible":
+            last = getattr(exc, "solution", None)  # a NonConvergenceError's last iterate
+            kept = report["results"] if last is None else _escort_results(last)
+        report["results"] = {"message": str(exc), "error": type(exc).__name__, **kept}
+        report["status"] = status
+        print(f"qentropy {report['command']}: {exc}", file=sys.stderr)
     sys.stdout.write(dumps_report(report) + "\n")
-    if report["status"] == "ok":
-        return EXIT_OK
-    return EXIT_INFEASIBLE if report["status"] == "infeasible" else EXIT_ERROR
-
-
-def _fail(command: str, inputs: dict, q: float | None, exc: Exception, status: str, **extra) -> int:
-    results = {"message": str(exc), "error": type(exc).__name__, **extra}
-    report = _report(command, inputs, q, results, status)
-    sys.stdout.write(dumps_report(report) + "\n")
-    print(f"qentropy {command}: {exc}", file=sys.stderr)
-    return EXIT_INFEASIBLE if status == "infeasible" else EXIT_ERROR
+    return _EXIT[report["status"]]
 
 
 def load_spectrum(path: str) -> Spectrum:
@@ -163,20 +184,16 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ValueError(f"bad {what} list {text!r}: {exc}") from None
 
 
-_INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError, QentropyError)
-
-
 # --- subcommand handlers -------------------------------------------------
+# Each fills in the report's inputs, q and results as it goes, raises on
+# any failure and returns the residual contracts to re-check.
 
-def _cmd_shift(args: argparse.Namespace) -> int:
-    inputs = {"spectrum": args.spectrum, "tol": args.tol,
-              "closed_forms": not args.no_closed_form}
-    try:
-        spectrum = load_spectrum(args.spectrum)
-        qp = QParam(args.q)
-    except _INPUT_ERRORS as exc:
-        return _fail("shift", inputs, args.q, exc, "error")
-    inputs["values"] = spectrum.as_array().tolist()
+def _cmd_shift(args: argparse.Namespace, report: dict) -> _Checks:
+    report.update(q=args.q, inputs={"spectrum": args.spectrum, "tol": args.tol,
+                                    "closed_forms": not args.no_closed_form})
+    spectrum = load_spectrum(args.spectrum)
+    qp = QParam(args.q)
+    report["inputs"]["values"] = spectrum.as_array().tolist()
     report_feas = feasibility(spectrum, qp)
     # JSON has no infinity, so a sum that overflowed is reported as null
     feas_dict = {
@@ -186,14 +203,10 @@ def _cmd_shift(args: argparse.Namespace) -> int:
                              if math.isfinite(report_feas.sufficient_bound) else None),
         "feasible": report_feas.feasible,
     }
-    try:
-        solution = solve_shift(spectrum, qp, tol=args.tol,
-                               use_closed_forms=not args.no_closed_form)
-    except (InfeasibleError, ConvergenceError) as exc:
-        return _fail("shift", inputs, qp.q, exc, "infeasible", feasibility=feas_dict)
-    except _INPUT_ERRORS as exc:
-        return _fail("shift", inputs, qp.q, exc, "error")
-    results = {
+    report["results"] = {"feasibility": feas_dict}
+    solution = solve_shift(spectrum, qp, tol=args.tol,
+                           use_closed_forms=not args.no_closed_form)
+    report["results"] = {
         "a0": solution.a0,
         "residual": solution.residual,
         "method": solution.method.value,
@@ -201,70 +214,52 @@ def _cmd_shift(args: argparse.Namespace) -> int:
         "iterations": solution.iterations,
         "feasibility": feas_dict,
     }
-    report = _report("shift", inputs, qp.q, results, "ok")
-    return _emit(report, checks=[("shift residual", solution.residual, RESIDUAL_BOUND)])
+    return [("shift residual", solution.residual, RESIDUAL_BOUND)]
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
-    inputs = {"probs": args.probs, "spectrum": args.spectrum}
-    try:
-        qp = QParam(args.q)
-        if args.probs is not None:
-            dist = validate_distribution(_parse_floats(args.probs, "probability"))
-            extra = {}
-        else:
-            spectrum = load_spectrum(args.spectrum)
-            inputs["values"] = spectrum.as_array().tolist()
-            from .shift import shifted_distribution
+def _cmd_entropy(args: argparse.Namespace, report: dict) -> _Checks:
+    report.update(q=args.q, inputs={"probs": args.probs, "spectrum": args.spectrum})
+    qp = QParam(args.q)
+    if args.probs is not None:
+        dist = validate_distribution(_parse_floats(args.probs, "probability"))
+        extra = {}
+    else:
+        spectrum = load_spectrum(args.spectrum)
+        report["inputs"]["values"] = spectrum.as_array().tolist()
+        from .shift import shifted_distribution
 
-            dist, solution = shifted_distribution(spectrum, qp)
-            extra = {"p": dist.as_array().tolist(), "a0": solution.a0,
-                     "residual": solution.residual}
-    except (InfeasibleError, ConvergenceError) as exc:
-        return _fail("entropy", inputs, args.q, exc, "infeasible")
-    except _INPUT_ERRORS as exc:
-        return _fail("entropy", inputs, args.q, exc, "error")
-    results = {
+        dist, solution = shifted_distribution(spectrum, qp)
+        extra = {"p": dist.as_array().tolist(), "a0": solution.a0,
+                 "residual": solution.residual}
+    report["results"] = {
         "uncertainty": uncertainty(dist, qp),
         "tsallis_same_index": tsallis_entropy(dist, qp.q),
         "bg_entropy": bg_entropy(dist),
         **extra,
     }
-    return _emit(_report("entropy", inputs, qp.q, results, "ok"))
+    return ()
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    inputs = {"q": args.q, "points": args.points, "out": args.out,
-              "partition": bool(args.partition)}
+def _cmd_sweep(args: argparse.Namespace, report: dict) -> _Checks:
+    report["inputs"] = {"q": args.q, "points": args.points, "out": args.out,
+                        "partition": bool(args.partition)}
     if args.partition and args.spectrum is None:
-        print("qentropy sweep: error: --partition requires --spectrum", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--partition requires --spectrum")
     if not args.partition and (args.a_min is not None or args.a_max is not None):
-        print("qentropy sweep: error: --a-min/--a-max apply to --partition only",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        q_values = _parse_floats(args.q, "q")
-        if not q_values:
-            raise ValueError("need at least one q value")
-        if args.partition and len(q_values) != 1:
-            print("qentropy sweep: error: --partition takes exactly one q value",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        if args.partition:
-            table = _partition_table(args, q_values, inputs)
-        else:
-            table = two_state_sweep([QParam(v) for v in q_values], args.points)
-    except (InfeasibleError, ConvergenceError) as exc:
-        return _fail("sweep", inputs, None, exc, "infeasible")
-    except _INPUT_ERRORS as exc:
-        return _fail("sweep", inputs, None, exc, "error")
-    try:
-        write_sweep_csv(table, args.out)
-    except OSError as exc:
-        return _fail("sweep", inputs, None, exc, "error")
-    results = {"rows": len(table.rows), "columns": list(table.headers), "path": args.out}
-    return _emit(_report("sweep", inputs, None, results, "ok"))
+        raise _UsageError("--a-min/--a-max apply to --partition only")
+    q_values = _parse_floats(args.q, "q")
+    if not q_values:
+        raise ValueError("need at least one q value")
+    if args.partition and len(q_values) != 1:
+        raise _UsageError("--partition takes exactly one q value")
+    if args.partition:
+        table = _partition_table(args, q_values, report["inputs"])
+    else:
+        table = two_state_sweep([QParam(v) for v in q_values], args.points)
+    write_sweep_csv(table, args.out)
+    report["results"] = {"rows": len(table.rows), "columns": list(table.headers),
+                         "path": args.out}
+    return ()
 
 
 def _partition_table(args: argparse.Namespace, q_values: list[float], inputs: dict) -> SweepTable:
@@ -301,31 +296,24 @@ def _partition_table(args: argparse.Namespace, q_values: list[float], inputs: di
     return SweepTable(("a", "f"), tuple(zip(grid.tolist(), f.tolist())))
 
 
-def _cmd_maxent(args: argparse.Namespace) -> int:
-    inputs = {"spectrum": args.spectrum, "beta": args.beta, "target_u": args.target_u}
-    try:
-        spectrum = load_spectrum(args.spectrum)
-        qp = QParam(args.q)
-    except _INPUT_ERRORS as exc:
-        return _fail("maxent", inputs, args.q, exc, "error")
-    inputs["values"] = spectrum.as_array().tolist()
-    try:
-        if args.beta is not None:
-            beta = args.beta
-            dist, solution = maxent_distribution(qp, spectrum, beta)
-        else:
-            beta, dist = solve_beta(qp, spectrum, args.target_u)
-            _, solution = maxent_distribution(qp, spectrum, beta)
-    except (InfeasibleError, ConvergenceError, BracketError, RangeError) as exc:
-        return _fail("maxent", inputs, qp.q, exc, "infeasible")
-    except _INPUT_ERRORS as exc:
-        return _fail("maxent", inputs, qp.q, exc, "error")
+def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:
+    report.update(q=args.q, inputs={"spectrum": args.spectrum, "beta": args.beta,
+                                    "target_u": args.target_u})
+    spectrum = load_spectrum(args.spectrum)
+    qp = QParam(args.q)
+    report["inputs"]["values"] = spectrum.as_array().tolist()
+    if args.beta is not None:
+        beta = args.beta
+        dist, solution = maxent_distribution(qp, spectrum, beta)
+    else:
+        beta, dist = solve_beta(qp, spectrum, args.target_u)
+        _, solution = maxent_distribution(qp, spectrum, beta)
     try:
         stationarity = stationarity_residual(qp, spectrum, beta)
     except DomainError:
         stationarity = None  # a boundary probability of exactly 0
     achieved = mean_energy(dist, spectrum)
-    results = {
+    report["results"] = {
         "p": dist.as_array().tolist(),
         "beta": beta,
         "achieved_u": achieved,
@@ -338,19 +326,16 @@ def _cmd_maxent(args: argparse.Namespace) -> int:
         checks.append(("achieved energy", achieved - args.target_u, 1e-9))
     if stationarity is not None:
         checks.append(("stationarity residual", stationarity, 1e-8))
-    return _emit(_report("maxent", inputs, qp.q, results, "ok"), checks=checks)
+    return checks
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
-    inputs = {"probs_a": args.probs_a, "probs_b": args.probs_b}
-    try:
-        qp = QParam(args.q)
-        dist_a = validate_distribution(_parse_floats(args.probs_a, "probability"))
-        dist_b = validate_distribution(_parse_floats(args.probs_b, "probability"))
-    except _INPUT_ERRORS as exc:
-        return _fail("compose", inputs, args.q, exc, "error")
+def _cmd_compose(args: argparse.Namespace, report: dict) -> _Checks:
+    report.update(q=args.q, inputs={"probs_a": args.probs_a, "probs_b": args.probs_b})
+    qp = QParam(args.q)
+    dist_a = validate_distribution(_parse_floats(args.probs_a, "probability"))
+    dist_b = validate_distribution(_parse_floats(args.probs_b, "probability"))
     result = compose(dist_a, dist_b, qp)
-    results = {
+    report["results"] = {
         "i_a": result.i_a,
         "i_b": result.i_b,
         "formula_value": result.formula_value,
@@ -358,20 +343,22 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         "nonextensive_term": result.nonextensive_term,
         "mismatch": result.formula_value - result.direct_value,
     }
-    checks = [("composition identity", result.formula_value - result.direct_value, 1e-12)]
-    return _emit(_report("compose", inputs, qp.q, results, "ok"), checks=checks)
+    return [("composition identity", result.formula_value - result.direct_value, 1e-12)]
 
 
-def _cmd_escort(args: argparse.Namespace) -> int:
-    inputs = {"spectrum": args.spectrum, "beta": args.beta,
-              "damping": args.damping, "max_iter": args.max_iter, "tol": args.tol}
-    try:
-        spectrum = load_spectrum(args.spectrum)
-        if not (math.isfinite(args.q_tilde) and args.q_tilde > 0.0):
-            raise RangeError(f"q_tilde must be a finite real > 0, got {args.q_tilde!r}")
-    except _INPUT_ERRORS as exc:
-        return _fail("escort", inputs, args.q_tilde, exc, "error")
-    inputs["values"] = spectrum.as_array().tolist()
+def _escort_results(solution: EscortSolution) -> dict:
+    return {"p": solution.p.as_array().tolist(), "residual": solution.residual,
+            "iterations": solution.iterations, "converged": solution.converged}
+
+
+def _cmd_escort(args: argparse.Namespace, report: dict) -> _Checks:
+    report.update(q=args.q_tilde, inputs={"spectrum": args.spectrum, "beta": args.beta,
+                                          "damping": args.damping, "max_iter": args.max_iter,
+                                          "tol": args.tol})
+    spectrum = load_spectrum(args.spectrum)
+    if not args.q_tilde > 0.0:
+        raise RangeError(f"q_tilde must be a finite real > 0, got {args.q_tilde!r}")
+    report["inputs"]["values"] = spectrum.as_array().tolist()
 
     def comparison(p_escort: Distribution) -> dict:
         try:
@@ -385,27 +372,12 @@ def _cmd_escort(args: argparse.Namespace) -> int:
             "max_abs_difference": float(np.abs(diff).max()),
         }
 
-    try:
-        solution = escort_distribution(
-            args.q_tilde, spectrum, args.beta,
-            damping=args.damping, tol=args.tol, max_iter=args.max_iter,
-        )
-    except NonConvergenceError as exc:
-        last = exc.solution
-        extra = {} if last is None else {"p": last.p.as_array().tolist(), "residual": last.residual,
-                                         "iterations": last.iterations, "converged": last.converged}
-        return _fail("escort", inputs, args.q_tilde, exc, "infeasible", **extra)
-    except _INPUT_ERRORS as exc:
-        return _fail("escort", inputs, args.q_tilde, exc, "error")
-    results = {
-        "p": solution.p.as_array().tolist(),
-        "residual": solution.residual,
-        "iterations": solution.iterations,
-        "converged": solution.converged,
-        **comparison(solution.p),
-    }
-    checks = [("escort residual", solution.residual, args.tol)]
-    return _emit(_report("escort", inputs, args.q_tilde, results, "ok"), checks=checks)
+    solution = escort_distribution(
+        args.q_tilde, spectrum, args.beta,
+        damping=args.damping, tol=args.tol, max_iter=args.max_iter,
+    )
+    report["results"] = {**_escort_results(solution), **comparison(solution.p)}
+    return [("escort residual", solution.residual, args.tol)]
 
 
 # --- parser --------------------------------------------------------------
@@ -419,6 +391,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, so every echoed input can be rendered."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite float value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qentropy",
@@ -428,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_shift = sub.add_parser("shift", help="solve the normalizing shift for a spectrum")
     p_shift.add_argument("spectrum", help="path to a JSON spectrum file")
-    p_shift.add_argument("--q", type=float, required=True, help="deformation index (> 0)")
-    p_shift.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
+    p_shift.add_argument("--q", type=_finite_float, required=True, help="deformation index (> 0)")
+    p_shift.add_argument("--tol", type=_finite_float, default=1e-12, help="solver tolerance")
     p_shift.add_argument("--no-closed-form", action="store_true",
                          help="force the generic bracketed solve")
     p_shift.set_defaults(handler=_cmd_shift)
@@ -438,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_entropy.add_mutually_exclusive_group(required=True)
     source.add_argument("--probs", help="comma-separated probability list")
     source.add_argument("--spectrum", help="spectrum file; probabilities come from the shift solve")
-    p_entropy.add_argument("--q", type=float, required=True, help="deformation index (> 0)")
+    p_entropy.add_argument("--q", type=_finite_float, required=True, help="deformation index (> 0)")
     p_entropy.set_defaults(handler=_cmd_entropy)
 
     p_sweep = sub.add_parser("sweep", help="emit CSV sweeps (two-state curves or partition sums)")
@@ -449,31 +432,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--partition", action="store_true",
                          help="tabulate the partition sum f(a) instead of entropy curves")
     p_sweep.add_argument("--spectrum", help="spectrum file (partition mode)")
-    p_sweep.add_argument("--a-min", type=float, default=None, help="lower shift bound")
-    p_sweep.add_argument("--a-max", type=float, default=None, help="upper shift bound")
+    p_sweep.add_argument("--a-min", type=_finite_float, default=None, help="lower shift bound")
+    p_sweep.add_argument("--a-max", type=_finite_float, default=None, help="upper shift bound")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_maxent = sub.add_parser("maxent", help="constrained maximizer at a given beta or mean energy")
     p_maxent.add_argument("spectrum", help="path to a JSON spectrum file")
-    p_maxent.add_argument("--q", type=float, required=True, help="deformation index (> 0)")
+    p_maxent.add_argument("--q", type=_finite_float, required=True, help="deformation index (> 0)")
     knob = p_maxent.add_mutually_exclusive_group(required=True)
-    knob.add_argument("--beta", type=float, help="energy multiplier")
-    knob.add_argument("--target-u", type=float, help="target mean energy to invert for beta")
+    knob.add_argument("--beta", type=_finite_float, help="energy multiplier")
+    knob.add_argument("--target-u", type=_finite_float,
+                      help="target mean energy to invert for beta")
     p_maxent.set_defaults(handler=_cmd_maxent)
 
     p_compose = sub.add_parser("compose", help="composition identity for two independent systems")
     p_compose.add_argument("--probs-a", required=True, help="comma-separated probabilities of A")
     p_compose.add_argument("--probs-b", required=True, help="comma-separated probabilities of B")
-    p_compose.add_argument("--q", type=float, required=True, help="deformation index (> 0)")
+    p_compose.add_argument("--q", type=_finite_float, required=True, help="deformation index (> 0)")
     p_compose.set_defaults(handler=_cmd_compose)
 
     p_escort = sub.add_parser("escort", help="solve the self-referential escort distribution")
     p_escort.add_argument("spectrum", help="path to a JSON spectrum file")
-    p_escort.add_argument("--q-tilde", type=float, required=True, help="escort index (> 0)")
-    p_escort.add_argument("--beta", type=float, required=True, help="energy multiplier")
-    p_escort.add_argument("--damping", type=float, default=0.5, help="fixed-point damping in (0, 1]")
+    p_escort.add_argument("--q-tilde", type=_finite_float, required=True, help="escort index (> 0)")
+    p_escort.add_argument("--beta", type=_finite_float, required=True, help="energy multiplier")
+    p_escort.add_argument("--damping", type=_finite_float, default=0.5,
+                          help="fixed-point damping in (0, 1]")
     p_escort.add_argument("--max-iter", type=int, default=10000, help="iteration cap")
-    p_escort.add_argument("--tol", type=float, default=1e-10, help="fixed-point residual tolerance")
+    p_escort.add_argument("--tol", type=_finite_float, default=1e-10,
+                          help="fixed-point residual tolerance")
     p_escort.set_defaults(handler=_cmd_escort)
 
     return parser
@@ -481,7 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    report = {"command": args.subcommand, "inputs": {}, "q": None, "results": {},
+              "status": "ok"}
+    try:
+        return _emit(report, args.handler(args, report))
+    except _INPUT_ERRORS as exc:
+        return _emit(report, exc=exc)
 
 
 if __name__ == "__main__":

@@ -143,6 +143,10 @@ def solve_beta(
     :class:`BracketError` when no sign change exists in the feasible
     range, and :class:`ConvergenceError` on budget exhaustion.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if not math.isfinite(target_u):
         raise RangeError(f"target energy must be finite, got {target_u!r}")
     if energies.x_min == energies.x_max:
@@ -253,8 +257,10 @@ def escort_distribution(
         raise RangeError(f"escort index must be a finite real > 0, got {q_tilde!r}")
     if not (0.0 < damping <= 1.0):
         raise RangeError(f"damping must be in (0, 1], got {damping!r}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     x = beta * energies.as_array()
 
     if qt == 1.0:

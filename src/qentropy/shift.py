@@ -127,7 +127,7 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
     the ends.  Returns (x, g(x), (lo, hi), evaluations) for the
     evaluated x of smallest |g|.
     """
-    best = (x, math.inf)
+    best, evaluations = (x, math.inf), 0
     for evaluations in range(1, max_iter + 1):
         g, dg = fd(x)
         if abs(g) < abs(best[1]):
@@ -184,7 +184,7 @@ def solve_shift(
     :class:`ConvergenceError` if the iteration budget is exhausted with
     the residual above ``RESIDUAL_BOUND``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -24,6 +24,7 @@ from qentropy import (
     shift_from_alpha,
     shifted_distribution,
     solve_beta,
+    solve_shift,
     stationarity_residual,
     uncertainty,
 )
@@ -291,3 +292,22 @@ class TestEscort:
             escort_distribution(0.0, UNIT, 1.0)
         with pytest.raises(RangeError):
             escort_distribution(0.8, UNIT, 1.0, damping=0.0)
+
+
+#: each solver on a solvable input, and the smallest max_iter it accepts
+SOLVERS = {
+    "solve_shift": (lambda **kw: solve_shift(UNIT, QParam(0.5), **kw), 1),
+    "solve_beta": (lambda **kw: solve_beta(QParam(0.5), UNIT, 0.3, **kw), 1),
+    "escort_distribution": (lambda **kw: escort_distribution(0.8, UNIT, 1.0, **kw), 0),
+}
+
+
+@pytest.mark.parametrize("bad", ["tol=nan", "tol=-1", "max_iter below minimum"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solver_arguments_raise_value_error(name, bad):
+    solve, min_iter = SOLVERS[name]
+    kwargs = {"tol=nan": {"tol": math.nan}, "tol=-1": {"tol": -1.0},
+              "max_iter below minimum": {"max_iter": min_iter - 1}}[bad]
+    with pytest.raises(ValueError):
+        solve(**kwargs)
+    solve()  # the same call with default arguments solves
