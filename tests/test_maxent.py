@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qentropy import shift
 from qentropy import (
     BracketError,
     Distribution,
@@ -141,7 +142,7 @@ class TestSolveBeta:
         check, _ = maxent_distribution(QParam(0.5), UNIT, beta)
         assert abs(mean_energy(check, UNIT) - 0.4) <= 1e-10
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("q", [0.5, 0.8, 1.0, 1.5, 2.0, 2.5])
     def test_round_trip_against_oracle_targets(self, q):
         rng = np.random.default_rng(53)
         for _ in range(15):
@@ -172,6 +173,58 @@ class TestSolveBeta:
         np.testing.assert_allclose(dist.as_array(), 0.5, rtol=0, atol=1e-15)
         with pytest.raises(RangeError):
             solve_beta(QParam(2), flat, 0.5)
+
+    @pytest.mark.parametrize("W", [10, 100])
+    @pytest.mark.parametrize("q", [5.0, 10.0, 30.0])
+    def test_flat_spectrum_at_large_q(self, q, W):
+        # beta = 0 in closed form; solving the flat scaled spectrum missed the residual bound
+        beta, dist = solve_beta(QParam(q), Spectrum([0.3] * W), 0.3)
+        assert beta == 0.0
+        assert dist.probs == (1.0 / W,) * W
+
+    def test_kernel_pass_budget(self, monkeypatch):
+        # the benchmark's beta-inversion recipe: W log-uniform in [16, 256], span
+        # log-uniform in [0.5, 2], beta* a fraction 0.1-0.8 of its reach on each side
+        rng = np.random.default_rng(61)
+        problems = []
+        for q in (0.5, 0.8, 1.0, 1.5, 2.5):
+            for sign in (1.0, -1.0) * 4:
+                w = int(math.exp(rng.uniform(math.log(16), math.log(257))))
+                span = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+                energies = Spectrum((rng.random(w) * span).tolist())
+                u = float(rng.uniform(0.1, 0.8))
+                if q > 1.0:
+                    cap_neg, cap_pos = oracles.feasible_beta_caps(energies.values, q)
+                    beta_star = u * (cap_pos if sign > 0.0 else cap_neg)
+                else:
+                    beta_star = sign * u * 4.0 / (energies.x_max - energies.x_min)
+                dist, _ = maxent_distribution(QParam(q), energies, beta_star)
+                problems.append((QParam(q), energies, mean_energy(dist, energies)))
+        passes = 0
+        kernel = shift._deformed_exp
+
+        def counted(*args, **kwargs):
+            nonlocal passes
+            passes += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(shift, "_deformed_exp", counted)
+        for qp, energies, target in problems:
+            _, dist = solve_beta(qp, energies, target)
+            assert abs(mean_energy(dist, energies) - target) <= 1e-10
+        assert passes / len(problems) <= 16.0
+
+    @pytest.mark.parametrize("q, share", [(1.0, None), (2.0, 0.5), (1.5, 0.995)])
+    def test_agrees_with_cold_solve(self, q, share):
+        # q = 1 and q = 2 take the closed forms; at q = 1.5 beta* lies within 1% of the cap
+        energies = Spectrum(np.random.default_rng(67).random(40).tolist())
+        qp = QParam(q)
+        cap = oracles.feasible_beta_caps(energies.values, q)[1] if q > 1.0 else None
+        beta_star = 2.5 if share is None else share * cap
+        reference, _ = maxent_distribution(qp, energies, beta_star)
+        beta, dist = solve_beta(qp, energies, mean_energy(reference, energies))
+        cold, _ = maxent_distribution(qp, energies, beta)
+        np.testing.assert_allclose(dist.as_array(), cold.as_array(), rtol=0, atol=1e-12)
 
     def test_unreachable_target_brackets_out(self):
         # at q = 2 the feasible beta range caps the reachable mean energy
