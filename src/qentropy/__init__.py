@@ -41,7 +41,6 @@ from .errors import (
     DomainError,
     EmptyError,
     InfeasibleError,
-    NonConvergenceError,
     NormalizationError,
     QentropyError,
     RangeError,
@@ -86,7 +85,6 @@ __all__ = [
     "InfeasibleError",
     "LagrangeParams",
     "Mode",
-    "NonConvergenceError",
     "NormalizationError",
     "QParam",
     "QRegime",

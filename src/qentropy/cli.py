@@ -38,7 +38,6 @@ from .errors import (
     RangeError,
 )
 from .maxent import (
-    EscortSolution,
     _stationarity,
     escort_distribution,
     maxent_distribution,
@@ -134,7 +133,7 @@ def _emit(report: dict, checks: _Checks = (), exc: Exception | None = None) -> i
 
     A finished run re-checks its (name, value, bound) residual contracts
     before claiming ok.  A failed run reports ``exc``; an infeasible one
-    keeps what it had (shift's feasibility, escort's last iterate).
+    keeps the results it had (shift's feasibility).
     """
     for name, value, bound in checks:
         if not abs(value) <= bound:
@@ -149,10 +148,7 @@ def _emit(report: dict, checks: _Checks = (), exc: Exception | None = None) -> i
         if status == "usage":
             print(f"qentropy {report['command']}: error: {exc}", file=sys.stderr)
             return _EXIT[status]
-        kept = {}
-        if status == "infeasible":
-            last = getattr(exc, "solution", None)  # a NonConvergenceError's last iterate
-            kept = report["results"] if last is None else _escort_results(last)
+        kept = report["results"] if status == "infeasible" else {}
         report["results"] = {"message": str(exc), "error": type(exc).__name__, **kept}
         report["status"] = status
         print(f"qentropy {report['command']}: {exc}", file=sys.stderr)
@@ -349,18 +345,10 @@ def _cmd_compose(args: argparse.Namespace, report: dict) -> _Checks:
     return [("composition identity", result.formula_value - result.direct_value, 1e-12)]
 
 
-def _escort_results(solution: EscortSolution) -> dict:
-    return {"p": solution.p.as_array().tolist(), "residual": solution.residual,
-            "iterations": solution.iterations, "converged": solution.converged}
-
-
 def _cmd_escort(args: argparse.Namespace, report: dict) -> _Checks:
     report.update(q=args.q_tilde, inputs={"spectrum": args.spectrum, "beta": args.beta,
-                                          "damping": args.damping, "max_iter": args.max_iter,
                                           "tol": args.tol})
     spectrum = load_spectrum(args.spectrum)
-    if not args.q_tilde > 0.0:
-        raise RangeError(f"q_tilde must be a finite real > 0, got {args.q_tilde!r}")
     report["inputs"]["values"] = spectrum.as_array().tolist()
 
     def comparison(p_escort: Distribution) -> dict:
@@ -375,11 +363,10 @@ def _cmd_escort(args: argparse.Namespace, report: dict) -> _Checks:
             "max_abs_difference": float(np.abs(diff).max()),
         }
 
-    solution = escort_distribution(
-        args.q_tilde, spectrum, args.beta,
-        damping=args.damping, tol=args.tol, max_iter=args.max_iter,
-    )
-    report["results"] = {**_escort_results(solution), **comparison(solution.p)}
+    solution = escort_distribution(args.q_tilde, spectrum, args.beta, tol=args.tol)
+    report["results"] = {"p": solution.p.as_array().tolist(), "residual": solution.residual,
+                         "iterations": solution.iterations, "converged": solution.converged,
+                         **comparison(solution.p)}
     return [("escort residual", solution.residual, args.tol)]
 
 
@@ -458,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_escort.add_argument("spectrum", help="path to a JSON spectrum file")
     p_escort.add_argument("--q-tilde", type=_finite_float, required=True, help="escort index (> 0)")
     p_escort.add_argument("--beta", type=_finite_float, required=True, help="energy multiplier")
-    p_escort.add_argument("--damping", type=_finite_float, default=0.5,
-                          help="fixed-point damping in (0, 1]")
-    p_escort.add_argument("--max-iter", type=int, default=10000, help="iteration cap")
     p_escort.add_argument("--tol", type=_finite_float, default=1e-10,
                           help="fixed-point residual tolerance")
     p_escort.set_defaults(handler=_cmd_escort)
@@ -473,7 +457,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = {"command": args.subcommand, "inputs": {}, "q": None, "results": {},
               "status": "ok"}
     try:
-        return _emit(report, args.handler(args, report))
+        # the report names any failure, and render rejects a non-finite
+        # result, so numpy's floating-point warnings would only be noise
+        with np.errstate(all="ignore"):
+            checks = args.handler(args, report)
+        return _emit(report, checks)
     except _INPUT_ERRORS as exc:
         return _emit(report, exc=exc)
 

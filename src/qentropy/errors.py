@@ -40,14 +40,3 @@ class BracketError(QentropyError):
 class StepError(QentropyError):
     """A finite-difference step left the probability simplex."""
 
-
-class NonConvergenceError(ConvergenceError):
-    """A fixed-point iteration hit its iteration cap.
-
-    Carries the last iterate in ``solution`` so callers can inspect or
-    report how far the iteration got.
-    """
-
-    def __init__(self, message: str, solution=None):
-        super().__init__(message)
-        self.solution = solution

@@ -6,8 +6,10 @@ q-exponential on the scaled spectrum {beta * eps_i}: the stationarity
 condition reads p_i^(q-1) = (1-q) alpha - (q-1) beta eps_i, which is the
 deformed factor with shift a = -1/(q-1) - alpha.  The contrasting escort
 construction is self-referential -- its right-hand side depends on the
-distribution being solved for -- and is handled by a damped fixed-point
-iteration.
+distribution being solved for -- yet its fixed point is the maximizer at
+q = 2 - q_tilde for one multiplier b, the root of a scalar equation.  So
+the beta inversion and the escort solve are both bracketed Newton steps
+on one scalar, each probe one warm-started shift solve.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InfeasibleError,
-    NonConvergenceError,
     NormalizationError,
     RangeError,
 )
@@ -57,8 +58,8 @@ class EscortSolution:
 
     p: Distribution
     residual: float     # max component mismatch under one undamped map application
-    iterations: int     # damped updates applied
-    converged: bool
+    iterations: int     # probes of the root solve, each one shift solve; 0 in closed form
+    converged: bool     # always true: a solve that fails raises
 
 
 def shift_from_alpha(q: QParam, alpha: float) -> float:
@@ -115,31 +116,77 @@ def mean_energy(p: Distribution, energies: Spectrum) -> float:
     return float((p.as_array() * energies.as_array()).sum())
 
 
-def _feasible_beta_caps(
-    q: QParam, energies: Spectrum
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Largest |beta| on each side keeping {beta eps_i} solvable for q > 1.
-
-    Returns the caps and the endpoint sums (s-, s+) of {-eps_i} and
-    {eps_i}; the endpoint sum of {beta eps_i} is |beta|^(1/(q-1)) times
-    the one on beta's side.
-    """
-    if not q.is_super_unit:
-        return (-math.inf, math.inf), (0.0, 0.0)
-    qm1 = q.q - 1.0
-    s_plus = feasibility(energies, q).endpoint_value
-    s_minus = feasibility(energies.scaled(-1.0), q).endpoint_value
-    # stay a relative 1e-3 inside the boundary, where the root is still
-    # resolvable in doubles (at the boundary itself the partition slope
-    # can be singular)
-    cap_pos = s_plus ** (-qm1) * (1.0 - 1e-3)
-    cap_neg = -(s_minus ** (-qm1)) * (1.0 - 1e-3)
-    return (cap_neg, cap_pos), (s_minus, s_plus)
-
-
 def _uniform(W: int) -> Distribution:
     """The maximizer at beta = 0, where every scaled value is 0: p = 1/W exactly."""
     return Distribution(np.full(W, 1.0 / W))
+
+
+class _Probes:
+    """The maximizer at q on {beta eps_i} for a run of beta values, one shift solve each.
+
+    The solves share one buffer and workspace, and each starts from the
+    prediction a0' + (beta - beta') sum w eps / sum w (w = p^(2-q)) of the
+    latest probe beta', first of beta' = 0, where p = 1/W.  q may be 0 or
+    below, where the shift solve behaves as for 0 < q < 1.  For q > 1 the
+    endpoint sum of {beta eps_i} is |beta|^(1/(q-1)) times s- or s+, those
+    of {-eps_i} and {eps_i}, so feasibility takes no pass; ``caps`` are
+    the largest |beta| on each side keeping {beta eps_i} solvable.
+    """
+
+    def __init__(self, q: float, energies: Spectrum):
+        eps, W, qm1 = energies.as_array(), energies.W, q - 1.0
+        self.qm1, self.energies = qm1, energies
+        self.x, self.work = np.empty(W), (np.empty(W), np.empty(W))
+        #: beta -> (a0, da0/dbeta) of each probe
+        self.shifts = {0.0: (-_z(W, qm1), float(np.add.reduce(eps)) / W)}
+        self.beta, self.p = 0.0, None  # the latest probe, and its p
+        self.sums, self.caps = (0.0, 0.0), (-math.inf, math.inf)
+        if q > 1.0:
+            qp = QParam(q)
+            self.sums = (feasibility(energies.scaled(-1.0), qp).endpoint_value,
+                         feasibility(energies, qp).endpoint_value)
+            # stay a relative 1e-3 inside the boundary, where the root is still
+            # resolvable in doubles (at the boundary itself the partition slope
+            # can be singular)
+            self.caps = (-(self.sums[0] ** -qm1) * (1.0 - 1e-3),
+                         self.sums[1] ** -qm1 * (1.0 - 1e-3))
+
+    def __call__(self, beta: float):
+        """(p, w, sum w, sum w eps) at beta; the next probe overwrites p and w.
+
+        Raises :class:`InfeasibleError` or the shift solve's :class:`ConvergenceError`.
+        """
+        qm1, eps, x = self.qm1, self.energies.as_array(), self.x
+        x_min, x_max = sorted((beta * self.energies.x_min, beta * self.energies.x_max))
+        if not (math.isfinite(x_min) and math.isfinite(x_max)):
+            raise RangeError("spectrum values must all be finite")
+        endpoint_value = 0.0
+        if qm1 > 0.0:
+            # the endpoint sum to the power q - 1, which cannot overflow below 1
+            power = abs(beta) * self.sums[beta > 0.0] ** qm1
+            if not power <= 1.0:
+                raise InfeasibleError(f"no real shift for q={1.0 + qm1} at beta {beta}")
+            endpoint_value = power ** (1.0 / qm1)
+        a_last, da_last = self.shifts[self.beta]
+        solution, (a, p, w) = _solve_root(np.multiply(eps, beta, out=x), x_min, x_max, qm1,
+                                          endpoint_value, self.work,
+                                          a_last + (beta - self.beta) * da_last,
+                                          1e-12, 200)  # solve_shift's defaults
+        if a != solution.a0:
+            p, w = _kernel_pass(x, solution.a0, qm1, self.work)  # the best point came earlier
+        with np.errstate(over="ignore", invalid="ignore"):
+            sw = float(np.add.reduce(w))
+            swe = float(np.add.reduce(np.multiply(w, eps, out=x)))
+        self.shifts[beta], self.beta, self.p = (solution.a0, swe / sw), beta, p
+        return p, w, sw, swe
+
+    def probs(self, beta: float) -> np.ndarray:
+        """p at a probed beta: the latest probe's, or one kernel pass at its shift."""
+        if beta != self.beta:
+            x = np.multiply(self.energies.as_array(), beta, out=self.x)
+            self.p = _kernel_pass(x, self.shifts[beta][0], self.qm1, self.work)[0]
+            self.beta = beta
+        return self.p
 
 
 def solve_beta(
@@ -162,12 +209,8 @@ def solve_beta(
     from there, clipped, for q > 1, to the beta range that keeps the
     scaled spectrum solvable; |beta| doubles from it until target - U
     changes sign.  Bracketed Newton steps on the analytic slope then
-    finish the solve.  Every probe runs one shift solve on {beta eps_i}
-    in a buffer and workspace shared by all probes, started from the
-    first-order prediction a0 + (beta - beta') sum w eps / sum w of the
-    last solved probe beta'.  U and the slope come from the kernel pass
-    at the solved shift, and only the returned beta builds a
-    :class:`Distribution`.
+    finish the solve.  Each probe is one warm-started shift solve
+    (:class:`_Probes`), whose last kernel pass gives U and the slope.
 
     Raises :class:`RangeError` for targets outside the hull,
     :class:`BracketError` when no sign change exists in the feasible
@@ -191,51 +234,26 @@ def solve_beta(
             f"target {target_u} outside the open hull ({energies.x_min}, {energies.x_max})"
         )
 
-    eps, W, qm1 = energies.as_array(), energies.W, q.q - 1.0
-    (cap_neg, cap_pos), (s_minus, s_plus) = _feasible_beta_caps(q, energies)
-    # {beta eps_i} of the probe, later its w eps_i, and the shift solve's workspace
-    x, work = np.empty(W), (np.empty(W), np.empty(W))
+    eps, W = energies.as_array(), energies.W
+    probe = _Probes(q.q, energies)
+    cap_neg, cap_pos = probe.caps
     # beta = 0 in closed form: the scaled spectrum is flat, so p = 1/W,
-    # w = W^(q-2), a0 = -z_W, and the slope is W^(q-2) sum (eps - mean)^2
+    # w = W^(q-2), and the slope is W^(q-2) sum (eps - mean)^2
     mean = float(np.add.reduce(eps)) / W
-    centred = np.subtract(eps, mean, out=x)
-    #: beta -> (target - U, its slope, a0, da0/dbeta) of each solved probe
-    solved = {0.0: (target_u - mean, W ** (q.q - 2.0) * float(np.dot(centred, centred)),
-                    -_z(W, qm1), mean)}
-    last_beta, last_p = 0.0, None  # the latest probe solved, and its p
+    centred = np.subtract(eps, mean, out=probe.x)
+    #: beta -> (target - U, its slope) of each solved probe
+    solved = {0.0: (target_u - mean, W ** (q.q - 2.0) * float(np.dot(centred, centred)))}
 
     def fd(beta: float) -> tuple[float, float]:
         """target - U(beta), increasing in beta, and its slope; one shift solve per new beta."""
-        nonlocal last_beta, last_p
-        if beta in solved:
-            return solved[beta][:2]
-        x_min, x_max = sorted((beta * energies.x_min, beta * energies.x_max))
-        if not (math.isfinite(x_min) and math.isfinite(x_max)):
-            raise RangeError("spectrum values must all be finite")
-        endpoint_value = 0.0
-        if q.is_super_unit:
-            # the endpoint sum to the power q - 1, which cannot overflow below 1
-            power = abs(beta) * (s_plus if beta > 0.0 else s_minus) ** qm1
-            if not power <= 1.0:
-                raise InfeasibleError(f"no real shift for q={q.q} at beta {beta}")
-            endpoint_value = power ** (1.0 / qm1)
-        a_last, slope_last = solved[last_beta][2:]
-        start = a_last + (beta - last_beta) * slope_last
-        np.multiply(eps, beta, out=x)
-        solution, (a, p, w) = _solve_root(x, x_min, x_max, q, endpoint_value, work, start,
-                                          1e-12, 200)  # solve_shift's defaults
-        if a != solution.a0:
-            p, w = _kernel_pass(x, solution.a0, qm1, work)  # the best point came earlier
-        last_beta, last_p = beta, p
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sw = float(np.add.reduce(w))
-            we = np.multiply(w, eps, out=x)
-            swe = float(np.add.reduce(we))
-            slope = float(np.dot(we, eps)) - swe * swe / sw
-        solved[beta] = (target_u - float(np.dot(p, eps)), slope, solution.a0, swe / sw)
-        return solved[beta][:2]
+        if beta not in solved:
+            p, w, sw, swe = probe(beta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                swe2 = float(np.dot(np.multiply(w, eps, out=probe.x), eps))
+            solved[beta] = (target_u - float(np.dot(p, eps)), swe2 - swe * swe / sw)
+        return solved[beta]
 
-    g0, dg0 = solved[0.0][:2]
+    g0, dg0 = solved[0.0]
     if abs(g0) <= tol:
         return 0.0, _uniform(W)
 
@@ -262,10 +280,7 @@ def solve_beta(
     if abs(g) > tol:
         raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
                                f"for target {target_u}")
-    if beta != last_beta:
-        # the best probe was not the last one solved: one pass at its shift
-        last_p = _kernel_pass(np.multiply(eps, beta, out=x), solved[beta][2], qm1, work)[0]
-    return beta, Distribution(last_p)
+    return beta, Distribution(probe.probs(beta))
 
 
 def _stationarity(q: QParam, energies: Spectrum, beta: float, dist: Distribution,
@@ -299,73 +314,77 @@ def stationarity_residual(
     return _stationarity(q, energies, beta, dist, solution.a0)
 
 
+#: probes of the escort root solve before it takes its best point
+_ESCORT_PROBES = 100
+
+
 def escort_distribution(
     q_tilde: float,
     energies: Spectrum,
     beta: float,
-    damping: float = 0.5,
     tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> EscortSolution:
-    """Solve the self-referential escort distribution by damped fixed point.
+    """Solve the self-referential escort distribution as one 1-D root.
 
-    The map sends p to the normalized vector of
+    The escort map sends p to the normalized vector of
 
-        [1 - (1 - q_tilde)(x_i - xbar) / sum_j p_j^q_tilde]^(1/(1-q_tilde))
+        [1 - (1 - q_tilde)(x_i - xbar) / c]^(1/(1 - q_tilde))
 
-    where xbar is the escort mean sum p^q_tilde x / sum p^q_tilde and
-    x_i = beta eps_i.  Iteration starts from uniform with update
-    p <- (1 - damping) p + damping T(p); negative brackets are cut off
-    to zero while iterating, but a converged solution must have all
-    brackets non-negative (:class:`DomainError` otherwise).  Hitting
-    ``max_iter`` raises :class:`NonConvergenceError` carrying the last
-    iterate.
+    with x_i = beta eps_i, c = sum p^q_tilde and xbar = sum p^q_tilde x / c.
+    At a fixed point p^(q-1) is affine in eps for q = 2 - q_tilde, so p is
+    the maximizer at q on {b eps_i} for one scalar b, and the escort
+    average of p^(q-1), which is 1/c, gives b c(b)^2 = beta.  c lies
+    between 1 and W^(1 - q_tilde), so t = b / beta lies between 1 and
+    W^(2(q_tilde - 1)), where g(t) = t c^2 - 1 is at most 0 at the lower
+    end and at least 0 at the upper one; for q_tilde < 1 the upper end is
+    clipped to the beta cap of q.  Bracketed Newton steps on g, with
+    dc/db = q_tilde sum p^(2 q_tilde - 1)(a0' - eps), start from the
+    uniform end, each probe one warm-started shift solve (:class:`_Probes`).
+    beta = 0 and a flat spectrum give p = 1/W; at q_tilde = 1 the range is
+    the one point b = beta, the softmax.
+
+    ``residual`` is the largest change of p under one undamped map
+    application; above ``tol`` it raises :class:`ConvergenceError`, and a
+    negative bracket there :class:`DomainError`.  A range clipped to
+    nothing raises :class:`InfeasibleError`, and a clipped end where g is
+    still negative :class:`BracketError`.
     """
     qt = float(q_tilde)
     if not math.isfinite(qt) or qt <= 0.0:
         raise RangeError(f"escort index must be a finite real > 0, got {q_tilde!r}")
-    if not (0.0 < damping <= 1.0):
-        raise RangeError(f"damping must be in (0, 1], got {damping!r}")
+    if not math.isfinite(beta):
+        raise RangeError(f"beta must be finite, got {beta!r}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
-    x = beta * energies.as_array()
+    eps, W = energies.as_array(), energies.W
+    if beta == 0.0 or energies.x_min == energies.x_max:
+        return EscortSolution(_uniform(W), 0.0, 0, True)  # every bracket is 1
+    probe = _Probes(2.0 - qt, energies)
+    uniform = W ** (2.0 * (qt - 1.0))  # t where c takes its value at p = 1/W
+    lo, hi = sorted((1.0, uniform))
+    cap = probe.caps[beta > 0.0] / beta
+    if cap < lo:
+        raise InfeasibleError(f"no escort multiplier within the beta caps at beta {beta}")
 
-    if qt == 1.0:
-        shifted = _deformed_exp(x - x.min(), 0.0)
-        p = shifted / shifted.sum()
-        return EscortSolution(Distribution(p), 0.0, 0, True)
+    def fd(t: float) -> tuple[float, float]:
+        b = beta * t
+        p, w, c, cwe = probe(b)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v = np.divide(np.multiply(w, w, out=probe.x), p, out=probe.x)  # p^(2 q_tilde - 1)
+            dc = qt * (cwe / c * float(np.add.reduce(v)) - float(np.dot(v, eps)))
+        return t * c * c - 1.0, c * c + 2.0 * b * c * dc
 
-    # the map's factor is the deformed exponential at q = 2 - q_tilde
-    qm1 = 1.0 - qt
-
-    def apply_map(p: np.ndarray) -> tuple[np.ndarray, bool]:
-        weights = np.power(p, qt)
-        denom = float(weights.sum())
-        xbar = float((weights * x).sum()) / denom
-        z = (x - xbar) / denom
-        went_negative = bool((qm1 * z > 1.0).any())  # a base 1 - qm1 z below 0
-        raw = _deformed_exp(z, qm1, cutoff=True)
-        total = float(raw.sum())
-        if not math.isfinite(total) or total <= 0.0:
-            raise DomainError("escort map left its domain (unnormalizable iterate)")
-        return raw / total, went_negative
-
-    p = np.full(energies.W, 1.0 / energies.W)
-    updates = 0
-    while True:
-        mapped, went_negative = apply_map(p)
-        residual = float(np.abs(mapped - p).max())
-        if residual <= tol:
-            if went_negative:
-                raise DomainError("escort fixed point has a negative bracket")
-            return EscortSolution(Distribution(p), residual, updates, True)
-        if updates >= max_iter:
-            last = EscortSolution(Distribution(p), residual, updates, False)
-            raise NonConvergenceError(
-                f"escort iteration stalled at residual {residual} after {updates} updates",
-                solution=last,
-            )
-        p = (1.0 - damping) * p + damping * mapped
-        updates += 1
+    if cap < hi:
+        hi = cap
+        if fd(hi)[0] < 0.0:
+            raise BracketError(f"no escort multiplier within the beta caps at beta {beta}")
+    # |g| within tol / 100 leaves the map residual far inside tol
+    t = _newton_in_bracket(fd, uniform, lo, hi, 1e-2 * tol, _ESCORT_PROBES)[0]
+    p, x = probe.probs(beta * t), beta * eps
+    weights = np.power(p, qt)
+    c = float(np.add.reduce(weights))
+    mapped = _deformed_exp((x - float(np.dot(weights, x)) / c) / c, 1.0 - qt)
+    residual = float(np.abs(mapped / mapped.sum() - p).max())
+    if not residual <= tol:
+        raise ConvergenceError(f"escort solve left a map residual of {residual}")
+    return EscortSolution(Distribution(p), residual, len(probe.shifts) - 1, True)

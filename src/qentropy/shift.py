@@ -163,25 +163,26 @@ def _z(n: float, qm1: float) -> float:
     return math.log(n) if qm1 == 0.0 else -math.expm1(-qm1 * math.log(n)) / qm1
 
 
-def _closed_form(x: np.ndarray, x_min: float, q: QParam, scratch: np.ndarray) -> float | None:
+def _closed_form(x: np.ndarray, x_min: float, qm1: float, scratch: np.ndarray) -> float | None:
     if x.size == 1:
         # single term equals 1 exactly when a = x_1, for every q
         return x_min
-    if q.is_classical:
+    if qm1 == 0.0:
         # x_min - log sum exp(x_min - x_i): every term is at most 1, and one is 1
         terms = np.subtract(x_min, x, out=scratch)
         return x_min - math.log(float(np.add.reduce(np.exp(terms, out=terms))))
-    if q.q == 2.0:
+    if qm1 == 1.0:
         # f is linear in a at q = 2, so f(a) = 1 solves exactly
         return (1.0 - x.size + float(np.add.reduce(x))) / x.size
     return None
 
 
-def _solve_root(x: np.ndarray, x_min: float, x_max: float, q: QParam, endpoint_value: float,
+def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_value: float,
                 work: tuple[np.ndarray, np.ndarray], start: float | None, tol: float,
                 max_iter: int, use_closed_forms: bool = True):
     """The root of f(a) = 1 on the values x, and the latest kernel pass.
 
+    ``qm1`` is q - 1; q <= 0 (escort indices >= 2) behaves as 0 < q < 1.
     ``x_min`` and ``x_max`` are the extremes of x, ``endpoint_value`` is
     f at the q > 1 domain endpoint (at most 1) and ``work`` is the
     caller's workspace of :func:`_kernel_pass`.  The Newton iteration
@@ -192,7 +193,6 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, q: QParam, endpoint_v
     then runs one more pass.  p and p^(2-q) live in ``work``, so the
     next pass overwrites them.
     """
-    qm1 = q.q - 1.0
     last = None  # (a, p, slope) of the latest pass
 
     def fd(a: float) -> tuple[float, float]:
@@ -202,9 +202,9 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, q: QParam, endpoint_v
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
         return float(np.add.reduce(p)) - 1.0, float(np.add.reduce(slope))
 
-    a0 = _closed_form(x, x_min, q, work[0]) if use_closed_forms else None
+    a0 = _closed_form(x, x_min, qm1, work[0]) if use_closed_forms else None
     if a0 is not None:
-        if q.is_super_unit:
+        if qm1 > 0.0:
             # a feasible q = 2 root can round a hair below the endpoint
             a0 = max(a0, x_max - 1.0 / qm1)
         residual = fd(a0)[0]
@@ -218,7 +218,7 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, q: QParam, endpoint_v
     # margin on each side of it leaves room to search past rounding
     # noise there.
     lo, hi = x_min - _z(2.0 * x.size, qm1), x_min
-    if q.is_super_unit:
+    if qm1 > 0.0:
         endpoint = x_max - 1.0 / qm1
         if endpoint_value == 1.0:
             # the root is the endpoint itself, where f' can be singular
@@ -273,7 +273,7 @@ def solve_shift(
             f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
         )
     work = (np.empty(spectrum.W), np.empty(spectrum.W))
-    return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q,
+    return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q.q - 1.0,
                        report.endpoint_value, work, None, tol, max_iter, use_closed_forms)[0]
 
 

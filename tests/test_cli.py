@@ -305,14 +305,13 @@ class TestEscortCommand:
         assert report["results"]["max_abs_difference"] > 1e-3
         assert len(report["results"]["difference"]) == 2
 
-    def test_nonconvergence_exits_two_with_last_iterate(self, capsys, spectrum_file):
+    def test_no_fixed_point_exits_two(self, capsys, spectrum_file):
+        # every fixed point b of the map lies beyond the beta cap of q = 1.2
         path = spectrum_file([0, 1])
-        code, report = run(capsys, "escort", path, "--q-tilde", "0.8", "--beta", "1",
-                           "--max-iter", "2")
+        code, report = run(capsys, "escort", path, "--q-tilde", "0.8", "--beta", "20")
         assert code == 2
         assert report["status"] == "infeasible"
-        assert report["results"]["converged"] is False
-        assert len(report["results"]["p"]) == 2
+        assert report["results"]["error"] == "InfeasibleError"
 
 
 class TestRendering:

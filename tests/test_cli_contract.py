@@ -68,7 +68,6 @@ FLOAT_OPTIONS = {
     "compose --q": ["compose", "--probs-a", "0.5,0.5", "--probs-b", "0.5,0.5"],
     "escort --q-tilde": ["escort", "{spectrum}", "--beta", "1"],
     "escort --beta": ["escort", "{spectrum}", "--q-tilde", "0.8"],
-    "escort --damping": ["escort", "{spectrum}", "--q-tilde", "0.8", "--beta", "1"],
     "escort --tol": ["escort", "{spectrum}", "--q-tilde", "0.8", "--beta", "1"],
 }
 
@@ -85,7 +84,6 @@ def test_non_finite_float_argument_is_a_usage_error(capsys, tmp_path, spectrum_f
     assert f"non-finite float value: '{value}'" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_result_gives_one_error_report(capsys):
     # the measure at q = 1e-320 is about 1e320, which overflows a double
     code, lines, err = run_in_process(capsys, ["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])
@@ -96,7 +94,6 @@ def test_non_finite_result_gives_one_error_report(capsys):
                                  "error": "ValueError"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failed_sweep_leaves_no_partial_csv(capsys, tmp_path):
     out = tmp_path / "o.csv"
     code, lines, err = run_in_process(capsys, ["sweep", "--q", "0.5,1e-320", "--points", "3",
@@ -112,8 +109,8 @@ FAILURES = {
     "shift infeasible": (["shift", "{wide}", "--q", "2"], 2),
     "maxent bad q": (["maxent", "{unit}", "--q", "-1", "--target-u", "0.5"], 1),
     "maxent target outside hull": (["maxent", "{unit}", "--q", "1", "--target-u", "2"], 2),
-    "escort non-convergence": (["escort", "{unit}", "--q-tilde", "0.8", "--beta", "1",
-                                "--max-iter", "2"], 2),
+    "escort bad q-tilde": (["escort", "{unit}", "--q-tilde=-1", "--beta", "1"], 1),
+    "escort no fixed point": (["escort", "{unit}", "--q-tilde", "0.8", "--beta", "20"], 2),
     "sweep unwritable path": (["sweep", "--q", "1", "--points", "5",
                                "--out", "{missing}/out.csv"], 1),
     "sweep usage": (["sweep", "--partition", "--q", "0.5", "--out", "{out}"], 64),
@@ -130,11 +127,15 @@ def test_failure_contract_in_process(capsys, tmp_path, spectrum_file, case):
               "missing": str(tmp_path / "missing"), "out": str(tmp_path / "out.csv")}
     template, want = FAILURES[case]
     code, lines, err = run_in_process(capsys, [arg.format(**fields) for arg in template])
-    assert_contract(code, lines, err, want)
+    report = assert_contract(code, lines, err, want)
     assert not os.path.exists(fields["out"])  # no failed run writes a CSV
+    if case == "escort bad q-tilde":
+        # the library's own check reaches the report
+        assert report["results"]["message"] == "escort index must be a finite real > 0, got -1.0"
 
 
 def test_failure_contract_in_a_process():
     # a non-finite result, through the module entry point
     code, lines, err = run_process(["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])
     assert_contract(code, lines, err, 1)
+    assert "RuntimeWarning" not in err
