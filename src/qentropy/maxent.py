@@ -34,7 +34,6 @@ from .shift import (
     _newton_in_bracket,
     _solve_root,
     _z,
-    feasibility,
     shifted_distribution,
 )
 
@@ -97,16 +96,16 @@ def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
 
 
 def maxent_distribution(
-    q: QParam, energies: Spectrum, beta: float, **solver_kwargs
+    q: QParam, energies: Spectrum, beta: float
 ) -> tuple[Distribution, ShiftSolution]:
     """Constrained maximizer of the uncertainty measure at multiplier beta.
 
-    Delegates to the shift solve on the scaled spectrum {beta * eps_i};
-    the achieved mean energy is sum p_i eps_i.
+    One :func:`shifted_distribution` on the scaled spectrum {beta * eps_i},
+    whose final kernel pass is p; the achieved mean energy is sum p_i eps_i.
     """
     if not math.isfinite(beta):
         raise RangeError(f"beta must be finite, got {beta!r}")
-    return shifted_distribution(energies.scaled(beta), q, **solver_kwargs)
+    return shifted_distribution(energies.scaled(beta), q)
 
 
 def mean_energy(p: Distribution, energies: Spectrum) -> float:
@@ -128,9 +127,10 @@ class _Probes:
     prediction a0' + (beta - beta') sum w eps / sum w (w = p^(2-q)) of the
     latest probe beta', first of beta' = 0, where p = 1/W.  q may be 0 or
     below, where the shift solve behaves as for 0 < q < 1.  For q > 1 the
-    endpoint sum of {beta eps_i} is |beta|^(1/(q-1)) times s- or s+, those
-    of {-eps_i} and {eps_i}, so feasibility takes no pass; ``caps`` are
-    the largest |beta| on each side keeping {beta eps_i} solvable.
+    endpoint sum of {beta eps_i}, to the power q - 1, is |beta| times s-
+    or s+, those of {-eps_i} and {eps_i}, so feasibility takes no pass;
+    ``caps`` are the largest |beta| on each side keeping {beta eps_i}
+    solvable.  The energies must not be flat.
     """
 
     def __init__(self, q: float, energies: Spectrum):
@@ -140,16 +140,18 @@ class _Probes:
         #: beta -> (a0, da0/dbeta) of each probe
         self.shifts = {0.0: (-_z(W, qm1), float(np.add.reduce(eps)) / W)}
         self.beta, self.p = 0.0, None  # the latest probe, and its p
-        self.sums, self.caps = (0.0, 0.0), (-math.inf, math.inf)
+        self.powers, self.caps = (0.0, 0.0), (-math.inf, math.inf)
         if q > 1.0:
-            qp = QParam(q)
-            self.sums = (feasibility(energies.scaled(-1.0), qp).endpoint_value,
-                         feasibility(energies, qp).endpoint_value)
+            # s^(q-1) = (q-1) span (sum_i (g_i / span)^(1/(q-1)))^(q-1) for the
+            # gaps g to that end: the inner sum is at least 1, so no underflow
+            span = energies.x_max - energies.x_min
+            self.powers = tuple(
+                qm1 * span * float(np.add.reduce(np.power(gaps / span, 1.0 / qm1))) ** qm1
+                for gaps in (eps - energies.x_min, energies.x_max - eps))
             # stay a relative 1e-3 inside the boundary, where the root is still
             # resolvable in doubles (at the boundary itself the partition slope
             # can be singular)
-            self.caps = (-(self.sums[0] ** -qm1) * (1.0 - 1e-3),
-                         self.sums[1] ** -qm1 * (1.0 - 1e-3))
+            self.caps = (-(1.0 - 1e-3) / self.powers[0], (1.0 - 1e-3) / self.powers[1])
 
     def __call__(self, beta: float):
         """(p, w, sum w, sum w eps) at beta; the next probe overwrites p and w.
@@ -163,17 +165,14 @@ class _Probes:
         endpoint_value = 0.0
         if qm1 > 0.0:
             # the endpoint sum to the power q - 1, which cannot overflow below 1
-            power = abs(beta) * self.sums[beta > 0.0] ** qm1
+            power = abs(beta) * self.powers[beta > 0.0]
             if not power <= 1.0:
                 raise InfeasibleError(f"no real shift for q={1.0 + qm1} at beta {beta}")
             endpoint_value = power ** (1.0 / qm1)
         a_last, da_last = self.shifts[self.beta]
-        solution, (a, p, w) = _solve_root(np.multiply(eps, beta, out=x), x_min, x_max, qm1,
-                                          endpoint_value, self.work,
-                                          a_last + (beta - self.beta) * da_last,
-                                          1e-12, 200)  # solve_shift's defaults
-        if a != solution.a0:
-            p, w = _kernel_pass(x, solution.a0, qm1, self.work)  # the best point came earlier
+        solution, p, w = _solve_root(np.multiply(eps, beta, out=x), x_min, x_max, qm1,
+                                     endpoint_value, self.work,
+                                     a_last + (beta - self.beta) * da_last)
         with np.errstate(over="ignore", invalid="ignore"):
             sw = float(np.add.reduce(w))
             swe = float(np.add.reduce(np.multiply(w, eps, out=x)))
@@ -189,13 +188,11 @@ class _Probes:
         return self.p
 
 
-def solve_beta(
-    q: QParam,
-    energies: Spectrum,
-    target_u: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, Distribution]:
+#: |U - target| at which the beta solve stops, and its budget of probes
+_BETA_TOL, _BETA_PROBES = 1e-10, 200
+
+
+def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, Distribution]:
     """Invert the mean-energy constraint for the multiplier beta.
 
     The target must lie strictly inside the open energy hull (with a
@@ -209,18 +206,16 @@ def solve_beta(
     from there, clipped, for q > 1, to the beta range that keeps the
     scaled spectrum solvable; |beta| doubles from it until target - U
     changes sign.  Bracketed Newton steps on the analytic slope then
-    finish the solve.  Each probe is one warm-started shift solve
-    (:class:`_Probes`), whose last kernel pass gives U and the slope.
+    finish the solve once |U - target| <= ``_BETA_TOL``.  Each probe is
+    one warm-started shift solve (:class:`_Probes`), whose kernel pass
+    at the solved shift gives U and the slope.
 
     Raises :class:`RangeError` for targets outside the hull,
     :class:`BracketError` when no sign change exists in the feasible
-    range, and :class:`ConvergenceError` on budget exhaustion, or when
-    a shift solve misses its residual bound.
+    range, and :class:`ConvergenceError` when ``_BETA_PROBES`` probes
+    leave the target missed, or when a shift solve misses its residual
+    bound.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if not math.isfinite(target_u):
         raise RangeError(f"target energy must be finite, got {target_u!r}")
     if energies.x_min == energies.x_max:
@@ -254,7 +249,7 @@ def solve_beta(
         return solved[beta]
 
     g0, dg0 = solved[0.0]
-    if abs(g0) <= tol:
+    if abs(g0) <= _BETA_TOL:
         return 0.0, _uniform(W)
 
     side = 1.0 if g0 < 0.0 else -1.0
@@ -276,8 +271,8 @@ def solve_beta(
         near, reach = far, 2.0 * reach
     lo, hi = sorted((near, far))
 
-    beta, g, _, _ = _newton_in_bracket(fd, hi, lo, hi, tol, max_iter)
-    if abs(g) > tol:
+    beta, g, _, _ = _newton_in_bracket(fd, hi, lo, hi, _BETA_TOL, _BETA_PROBES)
+    if abs(g) > _BETA_TOL:
         raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
                                f"for target {target_u}")
     return beta, Distribution(probe.probs(beta))
@@ -299,10 +294,8 @@ def _stationarity(q: QParam, energies: Spectrum, beta: float, dist: Distribution
     return float(np.abs(gradient).max())
 
 
-def stationarity_residual(
-    q: QParam, energies: Spectrum, beta: float, **solver_kwargs
-) -> float:
-    """Max-norm of the Lagrangian gradient at the solved distribution.
+def stationarity_residual(q: QParam, energies: Spectrum, beta: float) -> float:
+    """Max-norm of the Lagrangian gradient at the :func:`maxent_distribution` solution.
 
     The gradient of the measure is -p_i^(q-1)/(q-1) (classically
     -ln p_i - 1), and the normalization multiplier is reconstructed from
@@ -310,7 +303,7 @@ def stationarity_residual(
     relative to the log-normalizer convention.  Requires every
     probability to be strictly positive.
     """
-    dist, solution = maxent_distribution(q, energies, beta, **solver_kwargs)
+    dist, solution = maxent_distribution(q, energies, beta)
     return _stationarity(q, energies, beta, dist, solution.a0)
 
 

@@ -27,6 +27,9 @@ from .errors import ConvergenceError, InfeasibleError, SingularityError
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
 RESIDUAL_BOUND = 1e-10
 
+#: |f(a) - 1| at which the Newton iteration stops by default, and its budget of kernel passes
+_SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
+
 
 class SolveMethod(enum.Enum):
     BISECTION = "bisection"  # a q > 1 root on the domain endpoint, taken as is
@@ -178,20 +181,20 @@ def _closed_form(x: np.ndarray, x_min: float, qm1: float, scratch: np.ndarray) -
 
 
 def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_value: float,
-                work: tuple[np.ndarray, np.ndarray], start: float | None, tol: float,
-                max_iter: int, use_closed_forms: bool = True):
-    """The root of f(a) = 1 on the values x, and the latest kernel pass.
+                work: tuple[np.ndarray, np.ndarray], start: float | None = None,
+                tol: float = _SHIFT_TOL, use_closed_forms: bool = True):
+    """The root a0 of f(a) = 1 on the values x, and the kernel pass at a0.
 
     ``qm1`` is q - 1; q <= 0 (escort indices >= 2) behaves as 0 < q < 1.
     ``x_min`` and ``x_max`` are the extremes of x, ``endpoint_value`` is
     f at the q > 1 domain endpoint (at most 1) and ``work`` is the
     caller's workspace of :func:`_kernel_pass`.  The Newton iteration
     begins at ``start`` when it lies strictly inside the closed-form
-    bracket, and at x_max - z_W otherwise.  Returns the solution and the
-    latest pass (a, p, p^(2-q)).  That pass is at ``solution.a0`` unless
-    the iteration's best point came earlier; a caller that needs p there
-    then runs one more pass.  p and p^(2-q) live in ``work``, so the
-    next pass overwrites them.
+    bracket, and at x_max - z_W otherwise; it takes at most
+    ``_SHIFT_PASSES`` passes.  Returns (solution, p, p^(2-q)) with p and
+    p^(2-q) at ``solution.a0``: when the iteration's best point came
+    before its last pass, one more pass evaluates them there.  Both live
+    in ``work``, so the next pass overwrites them.
     """
     last = None  # (a, p, slope) of the latest pass
 
@@ -210,7 +213,7 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
         residual = fd(a0)[0]
         if abs(residual) > RESIDUAL_BOUND:
             raise ConvergenceError(f"closed form residual {residual} above bound")
-        return ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM), last
+        return (ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM), *last[1:])
 
     # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
     # probability exceeds 1 below it.  The default start, where every
@@ -226,25 +229,41 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
             if abs(residual) > RESIDUAL_BOUND:
                 raise ConvergenceError(f"endpoint residual {residual} above bound")
             return (ShiftSolution(endpoint, residual, (endpoint, endpoint), 0,
-                                  SolveMethod.BISECTION), last)
+                                  SolveMethod.BISECTION), *last[1:])
         lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
     if start is None or not lo < start < hi:
         start = min(x_max - _z(x.size, qm1), hi)
 
-    a0, residual, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, max_iter)
+    a0, residual, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol,
+                                                           _SHIFT_PASSES)
     if abs(residual) > RESIDUAL_BOUND:
         raise ConvergenceError(
             f"solver stopped with residual {residual} after {iterations} iterations"
         )
     solution = ShiftSolution(a0, residual, bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON)
-    return solution, last
+    if last[0] != a0:
+        return (solution, *_kernel_pass(x, a0, qm1, work))  # the best point came earlier
+    return (solution, *last[1:])
+
+
+def _solve(spectrum: Spectrum, q: QParam, tol: float, use_closed_forms: bool):
+    """:func:`solve_shift`'s solve, returning (solution, p, p^(2-q)) at a0 from its last pass."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    report = feasibility(spectrum, q)
+    if not report.feasible:
+        raise InfeasibleError(
+            f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
+        )
+    work = (np.empty(spectrum.W), np.empty(spectrum.W))
+    return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q.q - 1.0,
+                       report.endpoint_value, work, None, tol, use_closed_forms)
 
 
 def solve_shift(
     spectrum: Spectrum,
     q: QParam,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    tol: float = _SHIFT_TOL,
     use_closed_forms: bool = True,
 ) -> ShiftSolution:
     """Solve f(a0) = 1 for the normalizing shift.
@@ -256,40 +275,24 @@ def solve_shift(
     up to the domain endpoint for q > 1.  Newton steps on f, with f'
     from the same kernel pass, start at x_max - z_W, where f >= 1, and
     shrink the bracket, falling back to bisection whenever a step would
-    leave it.  ``iterations`` counts those kernel passes.
+    leave it.  They stop once |f - 1| <= ``tol``.  ``iterations`` counts
+    those kernel passes.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
-    :class:`ConvergenceError` if the iteration budget is exhausted with
-    the residual above ``RESIDUAL_BOUND``.
+    :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes
+    is exhausted with the residual above ``RESIDUAL_BOUND``.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
-    report = feasibility(spectrum, q)
-    if not report.feasible:
-        raise InfeasibleError(
-            f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
-        )
-    work = (np.empty(spectrum.W), np.empty(spectrum.W))
-    return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q.q - 1.0,
-                       report.endpoint_value, work, None, tol, max_iter, use_closed_forms)[0]
+    return _solve(spectrum, q, tol, use_closed_forms)[0]
 
 
-def shifted_distribution(
-    spectrum: Spectrum,
-    q: QParam,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    use_closed_forms: bool = True,
-) -> tuple[Distribution, ShiftSolution]:
-    """Solve the shift and evaluate p_i = [1 - (q-1)(x_i - a0)]^(1/(q-1)).
+def shifted_distribution(spectrum: Spectrum, q: QParam) -> tuple[Distribution, ShiftSolution]:
+    """Solve the shift and return p_i = [1 - (q-1)(x_i - a0)]^(1/(q-1)) with it.
 
-    The probabilities come back in spectrum order and sum to 1 within
-    the solver residual bound.
+    p is the kernel pass at a0 that the solve itself ends on, with
+    :func:`solve_shift`'s defaults; no further pass evaluates it.  The
+    probabilities come back in spectrum order and sum to 1 within the
+    solver residual bound.
     """
-    solution = solve_shift(spectrum, q, tol=tol, max_iter=max_iter,
-                           use_closed_forms=use_closed_forms)
-    probs = _deformed_exp(spectrum.as_array() - solution.a0, q.q - 1.0, cutoff=True)
-    return Distribution(probs), solution
+    solution, p, slope = _solve(spectrum, q, _SHIFT_TOL, True)
+    del slope  # freed before Distribution copies p, so two W-sized arrays are the peak
+    return Distribution(p), solution

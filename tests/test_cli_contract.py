@@ -134,6 +134,17 @@ def test_failure_contract_in_process(capsys, tmp_path, spectrum_file, case):
         assert report["results"]["message"] == "escort index must be a finite real > 0, got -1.0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["maxent", "{tiny}", "--q", "1.5", "--target-u", "5e-201"],
+    ["escort", "{tiny}", "--q-tilde", "0.5", "--beta", "1"],
+], ids=["maxent", "escort"])
+def test_underflowing_endpoint_sum_gives_one_ok_report(capsys, spectrum_file, argv):
+    # the q = 1.5 endpoint sums of {0, 1e-200} underflow to 0.0
+    tiny = spectrum_file([0.0, 1e-200])
+    code, lines, err = run_in_process(capsys, [arg.format(tiny=tiny) for arg in argv])
+    assert_contract(code, lines, err, 0)
+
+
 def test_failure_contract_in_a_process():
     # a non-finite result, through the module entry point
     code, lines, err = run_process(["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])

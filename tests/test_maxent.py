@@ -226,6 +226,22 @@ class TestSolveBeta:
         cold, _ = maxent_distribution(qp, energies, beta)
         np.testing.assert_allclose(dist.as_array(), cold.as_array(), rtol=0, atol=1e-12)
 
+    def test_underflowing_endpoint_sum(self):
+        # both q = 1.5 endpoint sums of {0, 1e-200} underflow to 0.0, whose
+        # negative power raised ZeroDivisionError
+        beta, dist = solve_beta(QParam(1.5), Spectrum([0.0, 1e-200]), 5e-201)
+        assert beta == 0.0
+        assert dist.probs == (0.5, 0.5)
+
+    @pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0])
+    def test_beta_caps_match_oracle(self, q):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            values = (rng.random(int(rng.integers(2, 64))) * rng.uniform(0.01, 100.0)).tolist()
+            want = [cap * (1.0 - 1e-3) for cap in oracles.feasible_beta_caps(values, q)]
+            np.testing.assert_allclose(maxent._Probes(q, Spectrum(values)).caps, want,
+                                       rtol=1e-13, atol=0)
+
     def test_unreachable_target_brackets_out(self):
         # at q = 2 the feasible beta range caps the reachable mean energy
         # strictly above the lower hull edge for this three-state spectrum
@@ -345,6 +361,12 @@ class TestEscort:
         with pytest.raises(error):
             escort_distribution(q_tilde, UNIT, beta)
 
+    def test_underflowing_endpoint_sum(self):
+        # q = 2 - 0.5 = 1.5, whose endpoint sums of {0, 1e-200} underflow to 0.0
+        solution = escort_distribution(0.5, Spectrum([0.0, 1e-200]), 1.0)
+        assert solution.residual <= 1e-10
+        np.testing.assert_allclose(solution.p.as_array(), 0.5, rtol=0, atol=1e-15)
+
     def test_rejects_bad_knobs(self):
         with pytest.raises(RangeError):
             escort_distribution(0.0, UNIT, 1.0)
@@ -383,25 +405,18 @@ class TestEscort:
         assert passes / len(problems) <= 13.0
 
 
-#: each solver on a solvable input, and the smallest max_iter it accepts (None: no max_iter)
+#: each solver that takes a tol, on a solvable input
 SOLVERS = {
-    "solve_shift": (lambda **kw: solve_shift(UNIT, QParam(0.5), **kw), 1),
-    "solve_beta": (lambda **kw: solve_beta(QParam(0.5), UNIT, 0.3, **kw), 1),
-    "escort_distribution": (lambda **kw: escort_distribution(0.8, UNIT, 1.0, **kw), None),
+    "solve_shift": lambda **kw: solve_shift(UNIT, QParam(0.5), **kw),
+    "escort_distribution": lambda **kw: escort_distribution(0.8, UNIT, 1.0, **kw),
 }
 
 
 @pytest.mark.parametrize("name, bad", [
-    (name, bad) for name in sorted(SOLVERS)
-    for bad in ("tol=nan", "tol=-1", "max_iter below minimum")
-    if bad.startswith("tol") or SOLVERS[name][1] is not None
+    (name, bad) for name in sorted(SOLVERS) for bad in ("tol=nan", "tol=-1")
 ])
 def test_solver_arguments_raise_value_error(name, bad):
-    solve, min_iter = SOLVERS[name]
-    if bad == "max_iter below minimum":
-        kwargs = {"max_iter": min_iter - 1}
-    else:
-        kwargs = {"tol": math.nan if bad == "tol=nan" else -1.0}
+    solve = SOLVERS[name]
     with pytest.raises(ValueError):
-        solve(**kwargs)
+        solve(tol=math.nan if bad == "tol=nan" else -1.0)
     solve()  # the same call with default arguments solves

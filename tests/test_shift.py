@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qentropy import shift
 from qentropy import (
     ConvergenceError,
     DomainError,
@@ -242,9 +243,10 @@ class TestSolveShift:
         finally:
             tracemalloc.stop()
 
-    def test_iteration_budget_is_respected(self):
+    def test_iteration_budget_is_respected(self, monkeypatch):
+        monkeypatch.setattr(shift, "_SHIFT_PASSES", 3)
         with pytest.raises(ConvergenceError):
-            solve_shift(UNIT, QParam(0.5), tol=1e-15, max_iter=3, use_closed_forms=False)
+            solve_shift(UNIT, QParam(0.5), tol=1e-15, use_closed_forms=False)
 
 
 class TestShiftedDistribution:
@@ -264,6 +266,41 @@ class TestShiftedDistribution:
         z = 1 + math.exp(-1)
         assert dist.probs[0] == pytest.approx(1 / z, abs=1e-12)
         assert dist.probs[1] == pytest.approx(math.exp(-1) / z, abs=1e-12)
+
+    def test_probs_are_the_solves_own_last_pass(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        # W = 1, q = 1 and q = 2 take the closed forms
+        cases = [(Spectrum([0.3]), 2.5), (Spectrum(rng.random(40)), 1.0),
+                 (Spectrum(rng.random(40) * 0.01), 2.0)]
+        for q in (0.5, 1.5, 2.5, 3.0):
+            x = rng.random(int(rng.integers(2, 200)))
+            cases.append((Spectrum(x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+                                   if q > 1.0 else x), q))
+        # at q = 3 this solve's best point comes before its last pass, so the
+        # solve itself takes one more pass at a0
+        x = np.random.default_rng(0).random(200)
+        early = Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2)
+        cases.append((early, 3.0))
+        passes = 0
+        kernel = shift._deformed_exp
+
+        def counted(*args, **kwargs):
+            nonlocal passes
+            passes += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(shift, "_deformed_exp", counted)
+        for spectrum, q in cases:
+            passes = 0
+            solution = solve_shift(spectrum, QParam(q))
+            solve_passes = passes
+            passes = 0
+            dist, same = shifted_distribution(spectrum, QParam(q))
+            assert same == solution
+            assert passes == solve_passes
+            expected = kernel(spectrum.as_array() - solution.a0, q - 1.0, cutoff=True)
+            assert dist.as_array().tobytes() == expected.tobytes()
+        assert solve_passes == solution.iterations + 1
 
     def test_list_and_array_inputs_give_identical_probs(self):
         values = np.random.default_rng(11).random(300)
