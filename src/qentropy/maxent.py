@@ -103,6 +103,7 @@ def maxent_distribution(
     One :func:`shifted_distribution` on the scaled spectrum {beta * eps_i},
     whose final kernel pass is p; the achieved mean energy is sum p_i eps_i.
     """
+    beta = float(beta)
     if not math.isfinite(beta):
         raise RangeError(f"beta must be finite, got {beta!r}")
     return shifted_distribution(energies.scaled(beta), q)
@@ -130,7 +131,8 @@ class _Probes:
     endpoint sum of {beta eps_i}, to the power q - 1, is |beta| times s-
     or s+, those of {-eps_i} and {eps_i}, so feasibility takes no pass;
     ``caps`` are the largest |beta| on each side keeping {beta eps_i}
-    solvable.  The energies must not be flat.
+    solvable.  They lie below 1/((q - 1) span), so a span beyond a double
+    raises :class:`InfeasibleError`.  The energies must not be flat.
     """
 
     def __init__(self, q: float, energies: Spectrum):
@@ -145,6 +147,9 @@ class _Probes:
             # s^(q-1) = (q-1) span (sum_i (g_i / span)^(1/(q-1)))^(q-1) for the
             # gaps g to that end: the inner sum is at least 1, so no underflow
             span = energies.x_max - energies.x_min
+            if not math.isfinite(span):
+                raise InfeasibleError(f"no feasible beta for q={q}: the spectrum's span "
+                                      "overflows a double")
             self.powers = tuple(
                 qm1 * span * float(np.add.reduce(np.power(gaps / span, 1.0 / qm1))) ** qm1
                 for gaps in (eps - energies.x_min, energies.x_max - eps))
@@ -211,11 +216,13 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
     at the solved shift gives U and the slope.
 
     Raises :class:`RangeError` for targets outside the hull,
-    :class:`BracketError` when no sign change exists in the feasible
-    range, and :class:`ConvergenceError` when ``_BETA_PROBES`` probes
+    :class:`InfeasibleError` for q > 1 on a spectrum whose span overflows
+    a double, :class:`BracketError` when no sign change exists in the
+    feasible range, and :class:`ConvergenceError` when ``_BETA_PROBES`` probes
     leave the target missed, or when a shift solve misses its residual
     bound.
     """
+    target_u = float(target_u)
     if not math.isfinite(target_u):
         raise RangeError(f"target energy must be finite, got {target_u!r}")
     if energies.x_min == energies.x_max:
@@ -339,12 +346,14 @@ def escort_distribution(
     ``residual`` is the largest change of p under one undamped map
     application; above ``tol`` it raises :class:`ConvergenceError`, and a
     negative bracket there :class:`DomainError`.  A range clipped to
-    nothing raises :class:`InfeasibleError`, and a clipped end where g is
-    still negative :class:`BracketError`.
+    nothing, or q_tilde < 1 on a spectrum whose span overflows a double,
+    raises :class:`InfeasibleError`, and a clipped end where g is still
+    negative :class:`BracketError`.
     """
     qt = float(q_tilde)
     if not math.isfinite(qt) or qt <= 0.0:
         raise RangeError(f"escort index must be a finite real > 0, got {q_tilde!r}")
+    beta = float(beta)
     if not math.isfinite(beta):
         raise RangeError(f"beta must be finite, got {beta!r}")
     if not tol > 0.0:

@@ -189,31 +189,43 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
     ``x_min`` and ``x_max`` are the extremes of x, ``endpoint_value`` is
     f at the q > 1 domain endpoint (at most 1) and ``work`` is the
     caller's workspace of :func:`_kernel_pass`.  The Newton iteration
-    begins at ``start`` when it lies strictly inside the closed-form
-    bracket, and at x_max - z_W otherwise; it takes at most
-    ``_SHIFT_PASSES`` passes.  Returns (solution, p, p^(2-q)) with p and
-    p^(2-q) at ``solution.a0``: when the iteration's best point came
-    before its last pass, one more pass evaluates them there.  Both live
-    in ``work``, so the next pass overwrites them.
+    runs on h = (f^(q-1) - 1)/(q-1) (log f at q = 1), which has the sign
+    of f - 1 and is nearly linear in a, with h' = f^(q-2) f' from the
+    same pass; it stops once |h| <= ``tol``, which is |f - 1| <= ``tol``
+    to within a relative O(tol).  It begins at ``start`` when that lies
+    strictly inside the closed-form bracket, and at x_max - z_W
+    otherwise, and takes at most ``_SHIFT_PASSES`` passes.  Returns
+    (solution, p, p^(2-q)) with p and p^(2-q) at ``solution.a0`` and the
+    residual f(a0) - 1: when the iteration's best point came before its
+    last pass, one more pass evaluates them there.  Both live in
+    ``work``, so the next pass overwrites them.
     """
-    last = None  # (a, p, slope) of the latest pass
+    last = None  # (a, p, slope, f - 1) of the latest pass
 
     def fd(a: float) -> tuple[float, float]:
         nonlocal last
         p, slope = _kernel_pass(x, a, qm1, work)
-        last = (a, p, slope)
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
-        return float(np.add.reduce(p)) - 1.0, float(np.add.reduce(slope))
+        r = float(np.add.reduce(p)) - 1.0
+        last = (a, p, slope, r)
+        if r == -1.0:  # f underflowed to 0, where log1p raises
+            return (-1.0 / qm1 if qm1 > 0.0 else -math.inf), math.nan
+        log_f = math.log1p(r)
+        try:
+            h = math.expm1(qm1 * log_f) / qm1 if qm1 != 0.0 else log_f
+            return h, float(np.add.reduce(slope)) * math.exp((qm1 - 1.0) * log_f)
+        except OverflowError:  # h or h' beyond a double: its sign still orders the bracket
+            return math.copysign(math.inf, r), math.nan
 
     a0 = _closed_form(x, x_min, qm1, work[0]) if use_closed_forms else None
     if a0 is not None:
         if qm1 > 0.0:
             # a feasible q = 2 root can round a hair below the endpoint
             a0 = max(a0, x_max - 1.0 / qm1)
-        residual = fd(a0)[0]
-        if abs(residual) > RESIDUAL_BOUND:
-            raise ConvergenceError(f"closed form residual {residual} above bound")
-        return (ShiftSolution(a0, residual, (a0, a0), 0, SolveMethod.CLOSED_FORM), *last[1:])
+        fd(a0)
+        if abs(last[3]) > RESIDUAL_BOUND:
+            raise ConvergenceError(f"closed form residual {last[3]} above bound")
+        return (ShiftSolution(a0, last[3], (a0, a0), 0, SolveMethod.CLOSED_FORM), *last[1:3])
 
     # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
     # probability exceeds 1 below it.  The default start, where every
@@ -225,25 +237,24 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
         endpoint = x_max - 1.0 / qm1
         if endpoint_value == 1.0:
             # the root is the endpoint itself, where f' can be singular
-            residual = fd(endpoint)[0]
-            if abs(residual) > RESIDUAL_BOUND:
-                raise ConvergenceError(f"endpoint residual {residual} above bound")
-            return (ShiftSolution(endpoint, residual, (endpoint, endpoint), 0,
-                                  SolveMethod.BISECTION), *last[1:])
+            fd(endpoint)
+            if abs(last[3]) > RESIDUAL_BOUND:
+                raise ConvergenceError(f"endpoint residual {last[3]} above bound")
+            return (ShiftSolution(endpoint, last[3], (endpoint, endpoint), 0,
+                                  SolveMethod.BISECTION), *last[1:3])
         lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
     if start is None or not lo < start < hi:
         start = min(x_max - _z(x.size, qm1), hi)
 
-    a0, residual, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol,
-                                                           _SHIFT_PASSES)
-    if abs(residual) > RESIDUAL_BOUND:
-        raise ConvergenceError(
-            f"solver stopped with residual {residual} after {iterations} iterations"
-        )
-    solution = ShiftSolution(a0, residual, bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON)
+    a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
     if last[0] != a0:
-        return (solution, *_kernel_pass(x, a0, qm1, work))  # the best point came earlier
-    return (solution, *last[1:])
+        fd(a0)  # the best point came earlier
+    if abs(last[3]) > RESIDUAL_BOUND:
+        raise ConvergenceError(
+            f"solver stopped with residual {last[3]} after {iterations} iterations"
+        )
+    return (ShiftSolution(a0, last[3], bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON),
+            *last[1:3])
 
 
 def _solve(spectrum: Spectrum, q: QParam, tol: float, use_closed_forms: bool):
@@ -272,11 +283,17 @@ def solve_shift(
     ``use_closed_forms`` is false.  The generic path brackets the root
     in closed form.  Term i equals 1/n at a = x_i - z_n, so
     f(x_min - z_2W) <= 1/2 and f(x_min) >= 1; the lower end is clipped
-    up to the domain endpoint for q > 1.  Newton steps on f, with f'
-    from the same kernel pass, start at x_max - z_W, where f >= 1, and
-    shrink the bracket, falling back to bisection whenever a step would
-    leave it.  They stop once |f - 1| <= ``tol``.  ``iterations`` counts
-    those kernel passes.
+    up to the domain endpoint for q > 1.  Newton steps start at
+    x_max - z_W, where f >= 1, and shrink the bracket, falling back to
+    bisection whenever a step would leave it.  They run on the
+    linearising transform h = (f^(q-1) - 1)/(q-1), log f at q = 1: each
+    p_i^(q-1) is affine in a, so h is exactly linear for W = 1, for a
+    flat spectrum and at q = 1, and nearly linear otherwise.  Its slope
+    h' = f^(q-2) f' comes from the same kernel pass as f.  They stop once
+    |h| <= ``tol``; as h = (f - 1)(1 + O(f - 1)), that is |f - 1| <= ``tol``
+    to within a relative O(``tol``), which is what the CLI's ``--tol``
+    sets.  ``iterations`` counts those kernel passes, and ``residual`` is
+    f(a0) - 1 itself.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes

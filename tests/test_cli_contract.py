@@ -145,6 +145,18 @@ def test_underflowing_endpoint_sum_gives_one_ok_report(capsys, spectrum_file, ar
     assert_contract(code, lines, err, 0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["maxent", "{wide}", "--q", "1.5", "--target-u", "0.5"],
+    ["escort", "{wide}", "--q-tilde", "0.5", "--beta", "1"],
+], ids=["maxent", "escort"])
+def test_overflowing_span_gives_one_infeasible_report(capsys, spectrum_file, argv):
+    # the span of {-1e308, 1e308} overflows a double, so no beta is feasible at q = 1.5
+    wide = spectrum_file([-1e308, 1e308])
+    code, lines, err = run_in_process(capsys, [arg.format(wide=wide) for arg in argv])
+    report = assert_contract(code, lines, err, 2)
+    assert report["results"]["error"] == "InfeasibleError"
+
+
 def test_failure_contract_in_a_process():
     # a non-finite result, through the module entry point
     code, lines, err = run_process(["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])

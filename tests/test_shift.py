@@ -243,6 +243,79 @@ class TestSolveShift:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """A list whose length counts the kernel passes of every later solve."""
+        passes, kernel = [], shift._kernel_pass
+
+        def counted(*args, **kwargs):
+            passes.append(None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(shift, "_kernel_pass", counted)
+        return passes
+
+    def test_kernel_pass_count_over_seeded_spectra(self, monkeypatch):
+        # the benchmark's small-spectra recipe: W log-uniform in [2, 256], span
+        # log-uniform in [0.1, 5], and q > 1 spectra scaled to an endpoint sum of 0.25
+        rng = np.random.default_rng(59)
+        cases = []
+        for q in (0.3, 0.5, 0.8, 1.0 + 1e-5, 1.0 - 1e-5, 1.5, 2.5, 3.0):
+            for _ in range(50):
+                w = int(math.exp(rng.uniform(math.log(2), math.log(257))))
+                x = rng.random(w) * math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
+                if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
+                    x = x.min() + (x - x.min()) * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+                cases.append((Spectrum(x), QParam(q)))
+        passes = self._count_passes(monkeypatch)
+        for spectrum, q in cases:
+            _, solution = shifted_distribution(spectrum, q)
+            assert abs(solution.residual) <= 1e-10
+        # 1682 passes measured; Newton steps on f itself took 2401 here
+        assert len(passes) <= 1682
+
+    @pytest.mark.parametrize("w", [2, 10, 256])
+    def test_classical_generic_path_is_one_newton_step(self, monkeypatch, w):
+        # h = log f is linear in a at q = 1: the start, then the root
+        spectrum = Spectrum(np.random.default_rng(w).random(w))
+        passes = self._count_passes(monkeypatch)
+        solution = solve_shift(spectrum, QParam(1), use_closed_forms=False)
+        assert len(passes) <= 2
+        assert abs(solution.residual) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("spectrum", [Spectrum([0.37]), Spectrum([0.2] * 50)],
+                             ids=["single", "flat"])
+    def test_exact_start_takes_one_pass(self, monkeypatch, spectrum, q):
+        # the start x_max - z_W is the root itself for W = 1 and a flat spectrum
+        passes = self._count_passes(monkeypatch)
+        solution = solve_shift(spectrum, QParam(q), use_closed_forms=False)
+        assert len(passes) == 1
+        assert abs(solution.residual) <= 1e-12
+
+    @pytest.mark.parametrize("q, values", [
+        (30.0, [1e-300] + [0.0] * 99),  # f underflows to 0 at a probe, where log1p raises
+        (300.0, [0.0] + [1e-300] * 99),  # f^(q-1) overflows a double at a probe
+    ], ids=["f-underflows", "h-overflows"])
+    def test_extreme_transform_gives_a_typed_result(self, q, values):
+        try:
+            solution = solve_shift(Spectrum(values), QParam(q), use_closed_forms=False)
+        except ConvergenceError:
+            return  # the root lies closer to the endpoint than one ulp of a resolves
+        assert abs(solution.residual) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.3, 0.8, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 1.5, 2.0, 3.0])
+    def test_residual_is_f_minus_one(self, q):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            x = rng.random(int(rng.integers(2, 100)))
+            if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
+                x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+            spectrum = Spectrum(x)
+            for closed in (True, False):
+                solution = solve_shift(spectrum, QParam(q), use_closed_forms=closed)
+                assert solution.residual == partition_value(solution.a0, spectrum, QParam(q)) - 1.0
+
     def test_iteration_budget_is_respected(self, monkeypatch):
         monkeypatch.setattr(shift, "_SHIFT_PASSES", 3)
         with pytest.raises(ConvergenceError):
