@@ -7,9 +7,10 @@ condition reads p_i^(q-1) = (1-q) alpha - (q-1) beta eps_i, which is the
 deformed factor with shift a = -1/(q-1) - alpha.  The contrasting escort
 construction is self-referential -- its right-hand side depends on the
 distribution being solved for -- yet its fixed point is the maximizer at
-q = 2 - q_tilde for one multiplier b, the root of a scalar equation.  So
-the beta inversion and the escort solve are both bracketed Newton steps
-on one scalar, each probe one warm-started shift solve.
+q = 2 - q_tilde for one multiplier b, the root of a scalar equation.  As
+the maximizer's base is affine in (a, beta), both that root and the beta
+inversion are bracketed Newton steps on one scalar along a ray of fixed
+shape, where normalization is a division: one kernel pass per probe.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from .errors import (
     NormalizationError,
     RangeError,
 )
-from .shift import (
-    ShiftSolution,
-    _kernel_pass,
-    _newton_in_bracket,
-    _solve_root,
-    _z,
-    shifted_distribution,
-)
+from .shift import ShiftSolution, _newton_in_bracket, shifted_distribution
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class EscortSolution:
 
     p: Distribution
     residual: float     # max component mismatch under one undamped map application
-    iterations: int     # probes of the root solve, each one shift solve; 0 in closed form
+    iterations: int     # probes of the root solve, each one kernel pass; 0 in closed form
     converged: bool     # always true: a solve that fails raises
 
 
@@ -121,76 +115,65 @@ def _uniform(W: int) -> Distribution:
     return Distribution(np.full(W, 1.0 / W))
 
 
-class _Probes:
-    """The maximizer at q on {beta eps_i} for a run of beta values, one shift solve each.
+#: the share of beta's feasible boundary (q > 1) where shift solves still resolve the root
+_CAP = 1.0 - 1e-3
 
-    The solves share one buffer and workspace, and each starts from the
-    prediction a0' + (beta - beta') sum w eps / sum w (w = p^(2-q)) of the
-    latest probe beta', first of beta' = 0, where p = 1/W.  q may be 0 or
-    below, where the shift solve behaves as for 0 < q < 1.  For q > 1 the
-    endpoint sum of {beta eps_i}, to the power q - 1, is |beta| times s-
-    or s+, those of {-eps_i} and {eps_i}, so feasibility takes no pass;
-    ``caps`` are the largest |beta| on each side keeping {beta eps_i}
-    solvable.  They lie below 1/((q - 1) span), so a span beyond a double
-    raises :class:`InfeasibleError`.  The energies must not be flat.
+
+class _Chart:
+    """The maximizer at q on {beta eps_i} on one side of beta, one kernel pass per point.
+
+    d_i = sign (eps_i - eps_ref) / 2^k lies in [0, 4), with eps_ref the
+    extreme energy on the side ``sign`` (x_min for beta > 0) and 2^k a
+    power of two near the span, so no difference overflows.  At s >= 0,
+    u = e_q(s d) lies in [0, 1] with u_ref = 1, and p = u / sum u is the
+    maximizer at beta = sign s (sum u)^-(q-1) / 2^k: the base of p is
+    affine in eps.  For q > 1, ``s_max`` = 1/((q - 1) max d) is the
+    feasible boundary, where the farthest u reaches 0, and a span beyond a
+    double raises :class:`InfeasibleError`, as every feasible |beta| lies
+    below 1/((q - 1) span).  The energies must not be flat.
     """
 
-    def __init__(self, q: float, energies: Spectrum):
-        eps, W, qm1 = energies.as_array(), energies.W, q - 1.0
-        self.qm1, self.energies = qm1, energies
-        self.x, self.work = np.empty(W), (np.empty(W), np.empty(W))
-        #: beta -> (a0, da0/dbeta) of each probe
-        self.shifts = {0.0: (-_z(W, qm1), float(np.add.reduce(eps)) / W)}
-        self.beta, self.p = 0.0, None  # the latest probe, and its p
-        self.powers, self.caps = (0.0, 0.0), (-math.inf, math.inf)
-        if q > 1.0:
-            # s^(q-1) = (q-1) span (sum_i (g_i / span)^(1/(q-1)))^(q-1) for the
-            # gaps g to that end: the inner sum is at least 1, so no underflow
-            span = energies.x_max - energies.x_min
-            if not math.isfinite(span):
-                raise InfeasibleError(f"no feasible beta for q={q}: the spectrum's span "
-                                      "overflows a double")
-            self.powers = tuple(
-                qm1 * span * float(np.add.reduce(np.power(gaps / span, 1.0 / qm1))) ** qm1
-                for gaps in (eps - energies.x_min, energies.x_max - eps))
-            # stay a relative 1e-3 inside the boundary, where the root is still
-            # resolvable in doubles (at the boundary itself the partition slope
-            # can be singular)
-            self.caps = (-(1.0 - 1e-3) / self.powers[0], (1.0 - 1e-3) / self.powers[1])
+    def __init__(self, q: float, energies: Spectrum, sign: float):
+        span = energies.x_max - energies.x_min
+        if q > 1.0 and not math.isfinite(span):
+            raise InfeasibleError(f"no feasible beta for q={q}: the spectrum's span "
+                                  "overflows a double")
+        k = min(max(math.frexp(span)[1], -1021), 1023) if math.isfinite(span) else 1023
+        self.qm1, self.sign, self.energies, self.scale = q - 1.0, sign, energies, 2.0**k
+        self.ref, self.unit = energies.x_min if sign > 0.0 else energies.x_max, sign / self.scale
+        self.d = np.subtract(energies.as_array() * self.unit, self.ref * self.unit)
+        self.u, self.z = np.empty(energies.W), np.empty(energies.W)
+        self.s_max = 1.0 / (self.qm1 * float(self.d.max())) if self.qm1 > 0.0 else math.inf
 
-    def __call__(self, beta: float):
-        """(p, w, sum w, sum w eps) at beta; the next probe overwrites p and w.
+    def __call__(self, s: float):
+        """(u, u^(2-q), sum u) at s; the next pass overwrites both arrays."""
+        u, w = _deformed_exp(np.multiply(self.d, s, out=self.z), self.qm1, True, True, self.u)
+        self.s, self.total = s, float(np.add.reduce(u))
+        return u, w, self.total
 
-        Raises :class:`InfeasibleError` or the shift solve's :class:`ConvergenceError`.
-        """
-        qm1, eps, x = self.qm1, self.energies.as_array(), self.x
-        x_min, x_max = sorted((beta * self.energies.x_min, beta * self.energies.x_max))
-        if not (math.isfinite(x_min) and math.isfinite(x_max)):
-            raise RangeError("spectrum values must all be finite")
-        endpoint_value = 0.0
-        if qm1 > 0.0:
-            # the endpoint sum to the power q - 1, which cannot overflow below 1
-            power = abs(beta) * self.powers[beta > 0.0]
-            if not power <= 1.0:
-                raise InfeasibleError(f"no real shift for q={1.0 + qm1} at beta {beta}")
-            endpoint_value = power ** (1.0 / qm1)
-        a_last, da_last = self.shifts[self.beta]
-        solution, p, w = _solve_root(np.multiply(eps, beta, out=x), x_min, x_max, qm1,
-                                     endpoint_value, self.work,
-                                     a_last + (beta - self.beta) * da_last)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sw = float(np.add.reduce(w))
-            swe = float(np.add.reduce(np.multiply(w, eps, out=x)))
-        self.shifts[beta], self.beta, self.p = (solution.a0, swe / sw), beta, p
-        return p, w, sw, swe
+    def probs(self, s: float) -> np.ndarray:
+        """p = u / sum u at s, written over u: the latest pass's, or one more pass at s."""
+        if s != self.s:
+            self(s)
+        return np.divide(self.u, self.total, out=self.u)
 
-    def probs(self, beta: float) -> np.ndarray:
-        """p at a probed beta: the latest probe's, or one kernel pass at its shift."""
-        if beta != self.beta:
-            x = np.multiply(self.energies.as_array(), beta, out=self.x)
-            self.p = _kernel_pass(x, self.shifts[beta][0], self.qm1, self.work)[0]
-            self.beta = beta
-        return self.p
+    def energy(self, mean_d: float) -> float:
+        """The mean energy eps_ref + sign 2^k D at D = sum u d / sum u."""
+        return self.ref + self.sign * self.scale * mean_d
+
+    def beta(self) -> float:
+        """beta at the latest pass, with the power taken in logs; RangeError beyond a double."""
+        beta = self.s * math.exp(-self.qm1 * math.log(self.total)) / self.scale
+        if not 0.0 < beta < math.inf:
+            raise RangeError(f"the multiplier at s = {self.s} lies beyond a double")
+        return self.sign * beta
+
+    def cap(self) -> float:
+        """``_CAP`` times |beta| at ``s_max`` (q > 1), from exact gaps to the far end."""
+        far = self.energies.x_max if self.sign > 0.0 else self.energies.x_min
+        gaps = np.subtract(far * self.unit, self.energies.as_array() * self.unit)
+        total = float(np.add.reduce(np.power(gaps / gaps.max(), 1.0 / self.qm1)))
+        return _CAP * self.s_max * math.exp(-self.qm1 * math.log(total)) / self.scale
 
 
 #: |U - target| at which the beta solve stops, and its budget of probes
@@ -202,25 +185,23 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
 
     The target must lie strictly inside the open energy hull (with a
     one-point spectrum only the single energy itself is allowed, at
-    beta = 0).  The mean energy U falls strictly as beta grows, with
-    dU/dbeta = (sum w eps)^2 / sum w - sum w eps^2 for w_i = p_i^(2-q),
-    so the sign of target - U(0) picks the side of the root.
+    beta = 0).  The solve runs on the s of a :class:`_Chart` on the side
+    of beta that the sign of U(0) - target picks, where the mean energy
+    U = eps_ref + sign 2^k D, D = sum u d / sum u, moves strictly towards
+    eps_ref as s grows, with dD/ds = -(sum w d^2 - D sum w d) / sum u for
+    w = u^(2-q) from the same kernel pass.  s = 0 is solved in closed
+    form (u = w = 1).  The first probe is the Newton step from there,
+    clipped for q > 1 to ``s_max``; s doubles from it until target - U
+    changes sign, and bracketed Newton steps finish once
+    |U - target| <= ``_BETA_TOL``.  A root whose beta lies beyond ``_CAP``
+    of the feasible boundary is out of reach.
 
-    beta = 0 is solved in closed form: the scaled spectrum is flat, so
-    p = 1/W and w = W^(q-2) exactly.  The first probe is the Newton step
-    from there, clipped, for q > 1, to the beta range that keeps the
-    scaled spectrum solvable; |beta| doubles from it until target - U
-    changes sign.  Bracketed Newton steps on the analytic slope then
-    finish the solve once |U - target| <= ``_BETA_TOL``.  Each probe is
-    one warm-started shift solve (:class:`_Probes`), whose kernel pass
-    at the solved shift gives U and the slope.
-
-    Raises :class:`RangeError` for targets outside the hull,
-    :class:`InfeasibleError` for q > 1 on a spectrum whose span overflows
-    a double, :class:`BracketError` when no sign change exists in the
-    feasible range, and :class:`ConvergenceError` when ``_BETA_PROBES`` probes
-    leave the target missed, or when a shift solve misses its residual
-    bound.
+    Raises :class:`RangeError` for targets outside the hull and for a
+    beta beyond a double, :class:`InfeasibleError` for q > 1 on a
+    spectrum whose span overflows a double, :class:`BracketError` when no
+    sign change exists in the feasible range, and
+    :class:`ConvergenceError` when ``_BETA_PROBES`` probes leave the
+    target missed.
     """
     target_u = float(target_u)
     if not math.isfinite(target_u):
@@ -236,53 +217,47 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
             f"target {target_u} outside the open hull ({energies.x_min}, {energies.x_max})"
         )
 
-    eps, W = energies.as_array(), energies.W
-    probe = _Probes(q.q, energies)
-    cap_neg, cap_pos = probe.caps
-    # beta = 0 in closed form: the scaled spectrum is flat, so p = 1/W,
-    # w = W^(q-2), and the slope is W^(q-2) sum (eps - mean)^2
-    mean = float(np.add.reduce(eps)) / W
-    centred = np.subtract(eps, mean, out=probe.x)
-    #: beta -> (target - U, its slope) of each solved probe
-    solved = {0.0: (target_u - mean, W ** (q.q - 2.0) * float(np.dot(centred, centred)))}
-
-    def fd(beta: float) -> tuple[float, float]:
-        """target - U(beta), increasing in beta, and its slope; one shift solve per new beta."""
-        if beta not in solved:
-            p, w, sw, swe = probe(beta)
-            with np.errstate(over="ignore", invalid="ignore"):
-                swe2 = float(np.dot(np.multiply(w, eps, out=probe.x), eps))
-            solved[beta] = (target_u - float(np.dot(p, eps)), swe2 - swe * swe / sw)
-        return solved[beta]
-
-    g0, dg0 = solved[0.0]
+    W = energies.W
+    chart = _Chart(q.q, energies, 1.0)
+    if target_u > chart.energy(float(np.add.reduce(chart.d)) / W):
+        chart = _Chart(q.q, energies, -1.0)  # the target lies on the side of beta < 0
+    d, mean = chart.d, float(np.add.reduce(chart.d)) / W
+    g0, d2 = chart.sign * (target_u - chart.energy(mean)), np.multiply(d, d)
     if abs(g0) <= _BETA_TOL:
         return 0.0, _uniform(W)
+    solved = {}  # s -> (sign (target - U), its slope) of each probe
 
-    side = 1.0 if g0 < 0.0 else -1.0
-    cap = cap_pos if side > 0.0 else cap_neg
-    newton = -g0 / dg0
-    near, reach = 0.0, abs(newton) if side * newton > 0.0 and math.isfinite(newton) else 1.0
-    while True:
-        far = side * min(reach, abs(cap))
-        try:
-            g = fd(far)[0]
-        except (InfeasibleError, ConvergenceError) as exc:
-            raise BracketError(f"no usable probe for target {target_u} at beta {far}") from exc
-        if side * g >= 0.0:
-            break
-        if far == cap or reach >= 2.0**80:
-            raise BracketError(
-                f"no sign change for target {target_u} within the feasible beta range"
-            )
-        near, reach = far, 2.0 * reach
-    lo, hi = sorted((near, far))
+    def fd(s: float) -> tuple[float, float]:
+        """sign (target - U(s)), increasing in s, and its slope; one pass per new s."""
+        if s not in solved:
+            u, w, su = chart(s)
+            mean_d, swd = float(np.dot(u, d)) / su, float(np.dot(w, d))
+            solved[s] = (chart.sign * (target_u - chart.energy(mean_d)),
+                         chart.scale * (float(np.dot(w, d2)) - mean_d * swd) / su)
+        return solved[s]
 
-    beta, g, _, _ = _newton_in_bracket(fd, hi, lo, hi, _BETA_TOL, _BETA_PROBES)
+    centred = np.subtract(d, mean, out=chart.z)
+    newton = -g0 / chart.scale * W / float(np.dot(centred, centred))
+    near, reach = 0.0, newton if 0.0 < newton < math.inf else 1.0
+    # for q > 2, w overflows where u nears the cutoff
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            far = min(reach, chart.s_max)
+            if fd(far)[0] >= 0.0:
+                break
+            if far == chart.s_max or reach >= 2.0**80:
+                raise BracketError(f"no sign change for target {target_u} within the "
+                                   "feasible beta range")
+            near, reach = far, 2.0 * reach
+        s, g, _, _ = _newton_in_bracket(fd, far, near, far, _BETA_TOL, _BETA_PROBES)
     if abs(g) > _BETA_TOL:
         raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
                                f"for target {target_u}")
-    return beta, Distribution(probe.probs(beta))
+    dist, beta = Distribution(chart.probs(s)), chart.beta()
+    # beta / cap <= s / s_max, as sum u falls while s grows
+    if s > _CAP * chart.s_max and abs(beta) > chart.cap():
+        raise BracketError(f"target {target_u} needs a beta beyond the feasible cap")
+    return beta, dist
 
 
 def _stationarity(q: QParam, energies: Spectrum, beta: float, dist: Distribution,
@@ -314,8 +289,9 @@ def stationarity_residual(q: QParam, energies: Spectrum, beta: float) -> float:
     return _stationarity(q, energies, beta, dist, solution.a0)
 
 
-#: probes of the escort root solve before it takes its best point
-_ESCORT_PROBES = 100
+#: probes of the escort root solve before it takes its best point, and the log s
+#: it clips to, so that s d with d below 4 stays below 2^1023
+_ESCORT_PROBES, _LOG_S_MAX = 100, 1021 * math.log(2.0)
 
 
 def escort_distribution(
@@ -333,22 +309,26 @@ def escort_distribution(
     with x_i = beta eps_i, c = sum p^q_tilde and xbar = sum p^q_tilde x / c.
     At a fixed point p^(q-1) is affine in eps for q = 2 - q_tilde, so p is
     the maximizer at q on {b eps_i} for one scalar b, and the escort
-    average of p^(q-1), which is 1/c, gives b c(b)^2 = beta.  c lies
-    between 1 and W^(1 - q_tilde), so t = b / beta lies between 1 and
-    W^(2(q_tilde - 1)), where g(t) = t c^2 - 1 is at most 0 at the lower
-    end and at least 0 at the upper one; for q_tilde < 1 the upper end is
-    clipped to the beta cap of q.  Bracketed Newton steps on g, with
-    dc/db = q_tilde sum p^(2 q_tilde - 1)(a0' - eps), start from the
-    uniform end, each probe one warm-started shift solve (:class:`_Probes`).
-    beta = 0 and a flat spectrum give p = 1/W; at q_tilde = 1 the range is
-    the one point b = beta, the softmax.
+    average of p^(q-1), which is 1/c, gives b c(b)^2 = beta.  On the s of
+    a :class:`_Chart`, b = s (sum u)^-(q-1) / 2^k and c = sum w / (sum u)^q_tilde
+    for w = u^q_tilde, so the root in log s, each probe one kernel pass, is
+
+        G = log s + 2 log sum w - (1 + q_tilde) log sum u - log(|beta| 2^k) = 0,
+        dG/dlog s = 1 - s (2 q_tilde sum d w^2/u / sum w - (1 + q_tilde) sum w d / sum u).
+
+    As c lies between 1 and W^(1 - q_tilde) and sum u between 1 and W, log s
+    lies within log(|beta| 2^k) + (q - 1) log W times [-2, 1] (q > 1) or
+    [1, -2] (q < 1), clipped for q > 1 to where b reaches ``_CAP`` of its
+    feasible boundary, near which c and G fall steeply.  Bracketed Newton
+    steps start where p = 1/W would put the root.  beta = 0 and a flat
+    spectrum give p = 1/W; at q_tilde = 1 the range is one point, the softmax.
 
     ``residual`` is the largest change of p under one undamped map
     application; above ``tol`` it raises :class:`ConvergenceError`, and a
-    negative bracket there :class:`DomainError`.  A range clipped to
-    nothing, or q_tilde < 1 on a spectrum whose span overflows a double,
-    raises :class:`InfeasibleError`, and a clipped end where g is still
-    negative :class:`BracketError`.
+    negative bracket there :class:`DomainError`.  No root below the
+    clipped end raises :class:`InfeasibleError` when the lower end of b's
+    range lies beyond the cap already, else :class:`BracketError`; so does
+    q_tilde < 1 on a spectrum whose span overflows a double (the former).
     """
     qt = float(q_tilde)
     if not math.isfinite(qt) or qt <= 0.0:
@@ -358,35 +338,54 @@ def escort_distribution(
         raise RangeError(f"beta must be finite, got {beta!r}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    eps, W = energies.as_array(), energies.W
+    W = energies.W
     if beta == 0.0 or energies.x_min == energies.x_max:
         return EscortSolution(_uniform(W), 0.0, 0, True)  # every bracket is 1
-    probe = _Probes(2.0 - qt, energies)
-    uniform = W ** (2.0 * (qt - 1.0))  # t where c takes its value at p = 1/W
-    lo, hi = sorted((1.0, uniform))
-    cap = probe.caps[beta > 0.0] / beta
-    if cap < lo:
-        raise InfeasibleError(f"no escort multiplier within the beta caps at beta {beta}")
+    chart = _Chart(2.0 - qt, energies, math.copysign(1.0, beta))
+    qm1, d, log_w, v = chart.qm1, chart.d, math.log(W), np.empty(W)
+    level = math.log(abs(beta)) + math.log(chart.scale)
+    lo, hi = level + min(-2.0 * qm1, qm1) * log_w, level + max(-2.0 * qm1, qm1) * log_w
+    # below _CAP s_max, b stays within the cap, as b / cap <= s / s_max
+    clipped, hi = hi > math.log(_CAP * chart.s_max), min(hi, math.log(_CAP * chart.s_max))
 
-    def fd(t: float) -> tuple[float, float]:
-        b = beta * t
-        p, w, c, cwe = probe(b)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            v = np.divide(np.multiply(w, w, out=probe.x), p, out=probe.x)  # p^(2 q_tilde - 1)
-            dc = qt * (cwe / c * float(np.add.reduce(v)) - float(np.dot(v, eps)))
-        return t * c * c - 1.0, c * c + 2.0 * b * c * dc
+    solved = {}  # log s -> (G, its slope) of each probe
 
-    if cap < hi:
-        hi = cap
-        if fd(hi)[0] < 0.0:
-            raise BracketError(f"no escort multiplier within the beta caps at beta {beta}")
-    # |g| within tol / 100 leaves the map residual far inside tol
-    t = _newton_in_bracket(fd, uniform, lo, hi, 1e-2 * tol, _ESCORT_PROBES)[0]
-    p, x = probe.probs(beta * t), beta * eps
-    weights = np.power(p, qt)
-    c = float(np.add.reduce(weights))
-    mapped = _deformed_exp((x - float(np.dot(weights, x)) / c) / c, 1.0 - qt)
-    residual = float(np.abs(mapped / mapped.sum() - p).max())
+    def fd(log_s: float) -> tuple[float, float]:
+        if log_s not in solved:
+            u, w, su = chart(math.exp(min(log_s, _LOG_S_MAX)))
+            sw, swd = float(np.add.reduce(w)), float(np.dot(w, d))
+            svd = float(np.dot(np.divide(np.multiply(w, w, out=v), u, out=v), d))  # u^(2qt-1)
+            solved[log_s] = (log_s + 2.0 * math.log(sw) - (1.0 + qt) * math.log(su) - level,
+                             1.0 - chart.s * (2.0 * qt * svd / sw - (1.0 + qt) * swd / su))
+        return solved[log_s]
+
+    def fb(log_s: float) -> tuple[float, float]:
+        u, w, su = chart(math.exp(log_s))  # log(b / cap), rising in log s
+        return math.log(abs(chart.beta()) / cap), 1.0 + qm1 * chart.s * float(np.dot(w, d)) / su
+
+    # |G| within tol / 100 leaves the map residual far inside tol.  A clipped end is
+    # probed once the root lies above the start: near the cap, c and so G fall again
+    start, g = min(level - qm1 * log_w, hi), -math.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # u^(2qt-1) near 0
+        if not clipped or lo <= hi and (fd(start)[0] >= 0.0 or fd(hi)[0] >= 0.0):
+            log_s, g, _, _ = _newton_in_bracket(fd, start, lo, hi, 1e-2 * tol, _ESCORT_PROBES)
+        if clipped and g < -1e-2 * tol:  # a root up to where b reaches the cap
+            cap, lo, end = chart.cap(), max(lo, hi), math.log(chart.s_max)
+            top = _newton_in_bracket(fb, lo, lo, end, 1e-15, _ESCORT_PROBES)[0] if lo < end else lo
+            if top > lo and fd(top)[0] >= -1e-2 * tol:
+                log_s, g, _, _ = _newton_in_bracket(fd, top, lo, top, 1e-2 * tol, _ESCORT_PROBES)
+    if clipped and g < -1e-2 * tol:
+        low = cap < abs(beta) * math.exp(-2.0 * qm1 * log_w)  # the lower end of b's range
+        raise (InfeasibleError if low else BracketError)(
+            f"no escort multiplier within the beta caps at beta {beta}")
+    p = chart.probs(math.exp(min(log_s, _LOG_S_MAX)))
+    # one map application, in the chart's units: x_i - xbar = |beta| 2^k (d_i - dbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.power(p, qt)
+        c = float(np.add.reduce(weights))
+        arg = np.subtract(d, float(np.dot(weights, d)) / c)
+        mapped = _deformed_exp(np.multiply(arg, abs(beta) * chart.scale / c, out=arg), qm1)
+        residual = float(np.abs(mapped / mapped.sum() - p).max())
     if not residual <= tol:
         raise ConvergenceError(f"escort solve left a map residual of {residual}")
-    return EscortSolution(Distribution(p), residual, len(probe.shifts) - 1, True)
+    return EscortSolution(Distribution(p), residual, len(solved), True)

@@ -15,6 +15,7 @@ explicit partition factor.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ RESIDUAL_BOUND = 1e-10
 
 #: |f(a) - 1| at which the Newton iteration stops by default, and its budget of kernel passes
 _SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
+_AS_IS = contextlib.nullcontext()  # numpy's error handling left as the caller set it
 
 
 class SolveMethod(enum.Enum):
@@ -181,20 +183,17 @@ def _closed_form(x: np.ndarray, x_min: float, qm1: float, scratch: np.ndarray) -
 
 
 def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_value: float,
-                work: tuple[np.ndarray, np.ndarray], start: float | None = None,
-                tol: float = _SHIFT_TOL, use_closed_forms: bool = True):
+                work: tuple[np.ndarray, np.ndarray], tol: float, use_closed_forms: bool):
     """The root a0 of f(a) = 1 on the values x, and the kernel pass at a0.
 
-    ``qm1`` is q - 1; q <= 0 (escort indices >= 2) behaves as 0 < q < 1.
-    ``x_min`` and ``x_max`` are the extremes of x, ``endpoint_value`` is
-    f at the q > 1 domain endpoint (at most 1) and ``work`` is the
-    caller's workspace of :func:`_kernel_pass`.  The Newton iteration
-    runs on h = (f^(q-1) - 1)/(q-1) (log f at q = 1), which has the sign
-    of f - 1 and is nearly linear in a, with h' = f^(q-2) f' from the
-    same pass; it stops once |h| <= ``tol``, which is |f - 1| <= ``tol``
-    to within a relative O(tol).  It begins at ``start`` when that lies
-    strictly inside the closed-form bracket, and at x_max - z_W
-    otherwise, and takes at most ``_SHIFT_PASSES`` passes.  Returns
+    ``qm1`` is q - 1, ``x_min`` and ``x_max`` are the extremes of x,
+    ``endpoint_value`` is f at the q > 1 domain endpoint (at most 1) and
+    ``work`` is the caller's workspace of :func:`_kernel_pass`.  The
+    Newton iteration runs on h = (f^(q-1) - 1)/(q-1) (log f at q = 1),
+    which has the sign of f - 1 and is nearly linear in a, with
+    h' = f^(q-2) f' from the same pass; it stops once |h| <= ``tol``,
+    which is |f - 1| <= ``tol`` to within a relative O(tol).  It begins
+    at x_max - z_W and takes at most ``_SHIFT_PASSES`` passes.  Returns
     (solution, p, p^(2-q)) with p and p^(2-q) at ``solution.a0`` and the
     residual f(a0) - 1: when the iteration's best point came before its
     last pass, one more pass evaluates them there.  Both live in
@@ -243,9 +242,7 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
             return (ShiftSolution(endpoint, last[3], (endpoint, endpoint), 0,
                                   SolveMethod.BISECTION), *last[1:3])
         lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
-    if start is None or not lo < start < hi:
-        start = min(x_max - _z(x.size, qm1), hi)
-
+    start = min(x_max - _z(x.size, qm1), hi)
     a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
     if last[0] != a0:
         fd(a0)  # the best point came earlier
@@ -261,14 +258,18 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float, use_closed_forms: bool):
     """:func:`solve_shift`'s solve, returning (solution, p, p^(2-q)) at a0 from its last pass."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    report = feasibility(spectrum, q)
-    if not report.feasible:
-        raise InfeasibleError(
-            f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
-        )
-    work = (np.empty(spectrum.W), np.empty(spectrum.W))
-    return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q.q - 1.0,
-                       report.endpoint_value, work, None, tol, use_closed_forms)
+    # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
+    # for q <= 1, and whose endpoint terms make q > 1 infeasible
+    wide = not math.isfinite(spectrum.x_max - spectrum.x_min)
+    with np.errstate(over="ignore") if wide else _AS_IS:
+        report = feasibility(spectrum, q)
+        if not report.feasible:
+            raise InfeasibleError(
+                f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
+            )
+        work = (np.empty(spectrum.W), np.empty(spectrum.W))
+        return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q.q - 1.0,
+                           report.endpoint_value, work, tol, use_closed_forms)
 
 
 def solve_shift(

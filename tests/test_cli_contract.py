@@ -157,6 +157,20 @@ def test_overflowing_span_gives_one_infeasible_report(capsys, spectrum_file, arg
     assert report["results"]["error"] == "InfeasibleError"
 
 
+@pytest.mark.parametrize("argv, values", [
+    (["maxent", "{spectrum}", "--q", "200", "--target-u", "5e-301"], [0.0] + [1e-300] * 99),
+    (["escort", "{spectrum}", "--q-tilde", "300", "--beta", "1"], [0.1 * k for k in range(12)]),
+], ids=["maxent", "escort"])
+def test_large_index_gives_one_report(capsys, spectrum_file, argv, values):
+    # powers to q - 1 and W^(2(q_tilde - 1)) overflowed a double with a traceback.
+    # solve_beta now returns beta = 0, but maxent's own shift solve of the flat
+    # scaled spectrum misses its bound at q = 200; the escort root lies beyond a
+    # double s.  Both are typed: one infeasible report.
+    spectrum = spectrum_file(values)
+    code, lines, err = run_in_process(capsys, [arg.format(spectrum=spectrum) for arg in argv])
+    assert_contract(code, lines, err, 2)
+
+
 def test_failure_contract_in_a_process():
     # a non-finite result, through the module entry point
     code, lines, err = run_process(["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])

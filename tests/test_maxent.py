@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from qentropy import maxent, shift
+from qentropy import core, maxent, shift
 from qentropy import (
     BracketError,
+    ConvergenceError,
     Distribution,
     DomainError,
     InfeasibleError,
@@ -40,6 +41,42 @@ ESCORT_FIXED_POINT = (0.71399916017108332, 0.28600083982891668)
 OVERFLOWING_SPAN = Spectrum([-1e308, 1e308])
 # a numpy scalar's comparison is an np.bool_, which no tuple index accepts
 SCALAR_TYPES = [np.float64, np.float32, int]
+
+
+def beta_problems(rng, qs):
+    """(q, energies, target, beta*) on the benchmark's beta-inversion recipe, 8 per q.
+
+    W is log-uniform in [16, 256], the span log-uniform in [0.5, 2], and beta*
+    a fraction 0.1-0.8 of its reach, 4 on each side.
+    """
+    problems = []
+    for q in qs:
+        for sign in (1.0, -1.0) * 4:
+            w = int(math.exp(rng.uniform(math.log(16), math.log(257))))
+            span = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            energies = Spectrum((rng.random(w) * span).tolist())
+            u = float(rng.uniform(0.1, 0.8))
+            if q > 1.0:
+                cap_neg, cap_pos = oracles.feasible_beta_caps(energies.values, q)
+                beta_star = u * (cap_pos if sign > 0.0 else cap_neg)
+            else:
+                beta_star = sign * u * 4.0 / (energies.x_max - energies.x_min)
+            dist, _ = maxent_distribution(QParam(q), energies, beta_star)
+            problems.append((QParam(q), energies, mean_energy(dist, energies), beta_star))
+    return problems
+
+
+def count_kernel_passes(monkeypatch) -> list:
+    """A one-item list counting the _deformed_exp calls of every module that makes them."""
+    passes, kernel = [0], core._deformed_exp
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return kernel(*args, **kwargs)
+
+    for module in (core, shift, maxent):
+        monkeypatch.setattr(module, "_deformed_exp", counted)
+    return passes
 
 
 class TestMultiplierConversion:
@@ -196,36 +233,75 @@ class TestSolveBeta:
         assert dist.probs == (1.0 / W,) * W
 
     def test_kernel_pass_budget(self, monkeypatch):
-        # the benchmark's beta-inversion recipe: W log-uniform in [16, 256], span
-        # log-uniform in [0.5, 2], beta* a fraction 0.1-0.8 of its reach on each side
-        rng = np.random.default_rng(61)
-        problems = []
-        for q in (0.5, 0.8, 1.0, 1.5, 2.5):
-            for sign in (1.0, -1.0) * 4:
-                w = int(math.exp(rng.uniform(math.log(16), math.log(257))))
-                span = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-                energies = Spectrum((rng.random(w) * span).tolist())
-                u = float(rng.uniform(0.1, 0.8))
-                if q > 1.0:
-                    cap_neg, cap_pos = oracles.feasible_beta_caps(energies.values, q)
-                    beta_star = u * (cap_pos if sign > 0.0 else cap_neg)
-                else:
-                    beta_star = sign * u * 4.0 / (energies.x_max - energies.x_min)
-                dist, _ = maxent_distribution(QParam(q), energies, beta_star)
-                problems.append((QParam(q), energies, mean_energy(dist, energies)))
-        passes = 0
-        kernel = shift._deformed_exp
-
-        def counted(*args, **kwargs):
-            nonlocal passes
-            passes += 1
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(shift, "_deformed_exp", counted)
-        for qp, energies, target in problems:
+        problems = beta_problems(np.random.default_rng(61), (0.5, 0.8, 1.0, 1.5, 2.5))
+        passes = count_kernel_passes(monkeypatch)
+        for qp, energies, target, _ in problems:
             _, dist = solve_beta(qp, energies, target)
             assert abs(mean_energy(dist, energies) - target) <= 1e-10
-        assert passes / len(problems) <= 16.0
+        # 5.4 passes per call measured; 10.95 when each probe was a shift solve
+        assert passes[0] / len(problems) <= 6.0
+
+    def test_each_probe_is_one_kernel_pass(self, monkeypatch):
+        probes, chart = [], maxent._Chart.__call__
+
+        def probe(self, s):
+            probes.append(s)
+            return chart(self, s)
+
+        monkeypatch.setattr(maxent._Chart, "__call__", probe)
+        passes = count_kernel_passes(monkeypatch)
+        for qp, energies, target, _ in beta_problems(np.random.default_rng(73), (0.5, 1.0, 2.5)):
+            probes.clear()
+            passes[0] = 0
+            solve_beta(qp, energies, target)
+            # no pass outside a probe, and no probe twice but for the returned p
+            assert passes[0] == len(probes) <= len(set(probes)) + 1
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_agrees_with_cold_solve_over_q(self, q):
+        for qp, energies, target, beta_star in beta_problems(np.random.default_rng(79), (q,)):
+            beta, dist = solve_beta(qp, energies, target)
+            cold, _ = maxent_distribution(qp, energies, beta)
+            np.testing.assert_allclose(dist.as_array(), cold.as_array(), rtol=0, atol=1e-12)
+            assert beta == pytest.approx(beta_star, rel=1e-6)
+
+    @pytest.mark.parametrize("q, solved", [(5.0, 20), (10.0, 10)])
+    def test_near_flat_targets_at_large_q(self, q, solved):
+        # each probe was a shift solve of a near-flat scaled spectrum, which missed
+        # its residual bound: every one of these raised BracketError
+        rng = np.random.default_rng(0)
+        outcomes = []
+        for _ in range(20):
+            energies = Spectrum(rng.random(100))
+            target = float(energies.as_array().mean() + rng.uniform(-0.05, 0.05))
+            try:
+                _, dist = solve_beta(QParam(q), energies, target)
+            except BracketError:
+                # the target lies beyond the mean energy at the feasible boundary
+                sign = 1.0 if target < energies.as_array().mean() else -1.0
+                chart = maxent._Chart(q, energies, sign)
+                u, _, total = chart(chart.s_max)
+                edge = chart.energy(float(np.dot(u, chart.d)) / total)
+                assert sign * (target - edge) < 0.0
+                outcomes.append(False)
+            else:
+                assert abs(mean_energy(dist, energies) - target) <= 1e-10
+                outcomes.append(True)
+        assert sum(outcomes) == solved
+
+    def test_large_q_needs_no_overflowing_power(self):
+        # the endpoint sum to the power q - 1 overflowed: OverflowError
+        beta, dist = solve_beta(QParam(200), Spectrum([0.0] + [1e-300] * 99), 5e-301)
+        assert beta == 0.0  # U(0) is within 1e-10 of the target
+        assert dist.probs == (0.01,) * 100
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_overflowing_span_below_one(self, q):
+        # the beta = 0 slope overflowed in a dot product with a RuntimeWarning; no beta
+        # moves U by 0.5 alone, and U(0) = 0 is the target 0 itself
+        with pytest.raises(ConvergenceError):
+            solve_beta(QParam(q), OVERFLOWING_SPAN, 0.5)
+        assert solve_beta(QParam(q), OVERFLOWING_SPAN, 0.0) == (0.0, Distribution([0.5, 0.5]))
 
     @pytest.mark.parametrize("q, share", [(1.0, None), (2.0, 0.5), (1.5, 0.995)])
     def test_agrees_with_cold_solve(self, q, share):
@@ -252,8 +328,8 @@ class TestSolveBeta:
         for _ in range(50):
             values = (rng.random(int(rng.integers(2, 64))) * rng.uniform(0.01, 100.0)).tolist()
             want = [cap * (1.0 - 1e-3) for cap in oracles.feasible_beta_caps(values, q)]
-            np.testing.assert_allclose(maxent._Probes(q, Spectrum(values)).caps, want,
-                                       rtol=1e-13, atol=0)
+            caps = [sign * maxent._Chart(q, Spectrum(values), sign).cap() for sign in (-1.0, 1.0)]
+            np.testing.assert_allclose(caps, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("scalar", SCALAR_TYPES)
     def test_scalar_types_of_target(self, scalar):
@@ -428,22 +504,64 @@ class TestEscort:
             bound = 0.5 * floor / (abs(1.0 - qt) * (energies.x_max - energies.x_min))
             sign = 1.0 if rng.random() < 0.5 else -1.0
             problems.append((qt, energies, sign * rng.uniform(0.2, 1.0) * bound))
-        passes = 0
-        kernel = shift._deformed_exp
-
-        def counted(*args, **kwargs):
-            nonlocal passes
-            passes += 1
-            return kernel(*args, **kwargs)
-
-        # the shift solves' passes, and the map application that checks the result
-        monkeypatch.setattr(shift, "_deformed_exp", counted)
-        monkeypatch.setattr(maxent, "_deformed_exp", counted)
+        passes = count_kernel_passes(monkeypatch)
         for qt, energies, beta in problems:
             assert escort_distribution(qt, energies, beta).residual <= 1e-10
-        # 9.35 passes per call measured (11.0 with Newton steps on f itself); the
-        # damped iteration took 27.2 map applications
-        assert passes / len(problems) <= 13.0
+        # 4.6 passes per call measured, the map application included; 9.35 when each
+        # probe was a shift solve, and the damped iteration took 27.2 map applications
+        assert passes[0] / len(problems) <= 5.25
+
+    def test_each_probe_is_one_kernel_pass(self, monkeypatch):
+        probes, chart = [], maxent._Chart.__call__
+
+        def probe(self, s):
+            probes.append(s)
+            return chart(self, s)
+
+        monkeypatch.setattr(maxent._Chart, "__call__", probe)
+        passes = count_kernel_passes(monkeypatch)
+        rng = np.random.default_rng(83)
+        for qt in (0.5, 0.9, 1.0, 1.3, 2.5):
+            energies = Spectrum(rng.random(int(rng.integers(16, 257))))
+            probes.clear()
+            passes[0] = 0
+            solution = escort_distribution(qt, energies, 0.3 / (energies.x_max - energies.x_min))
+            # one pass per probe, one more for the returned p at most, and the map
+            assert solution.iterations == len(set(probes)) >= len(probes) - 1
+            assert passes[0] == len(probes) + 1
+
+    @pytest.mark.parametrize("q_tilde, values, share", [
+        (0.5, [0.0, 1.0], 0.9988),  # the shift solves raised BracketError here
+        (0.5, [0.0, 1.0], 0.999),
+        (0.8, [0.0, 0.2, 0.9, 1.0], 0.999),
+    ])
+    def test_fixed_point_near_the_cap(self, q_tilde, values, share):
+        # a fixed point at b within 0.2% of the feasible boundary, where b / cap <= s / s_max
+        # alone no longer shows b within the cap, and G falls again nearer the boundary
+        q, energies = 2.0 - q_tilde, Spectrum(values)
+        cap = oracles.feasible_beta_caps(values, q)[1]
+        p, _ = maxent_distribution(QParam(q), energies, share * cap)
+        beta = share * cap * float(np.sum(p.as_array() ** q_tilde)) ** 2
+        solution = escort_distribution(q_tilde, energies, beta)
+        assert solution.residual <= 1e-10
+        # p^(q-1) is affine in eps with slope -(q - 1) b, for a b within the cap
+        powers = solution.p.as_array() ** (q - 1.0)
+        b = (powers[0] - powers[-1]) / ((q - 1.0) * (values[-1] - values[0]))
+        assert 0.0 < b <= (1.0 - 1e-3) * cap * (1.0 + 1e-9)
+
+    def test_large_q_tilde_needs_no_overflowing_power(self):
+        # W^(2(q_tilde - 1)) and shift._z overflowed: OverflowError
+        energies = Spectrum(np.random.default_rng(0).random(3000))
+        assert escort_distribution(60, energies, 1.0).residual <= 1e-10
+        # the root lies beyond the largest double s: a typed error
+        with pytest.raises(ConvergenceError):
+            escort_distribution(300, Spectrum(np.random.default_rng(0).random(12)), 1.0)
+
+    def test_overflowing_span_at_the_classical_index(self):
+        # x_i - xbar overflowed with a RuntimeWarning; the softmax puts all weight on -1e308
+        solution = escort_distribution(1.0, OVERFLOWING_SPAN, 1.0)
+        assert solution.p.probs == (1.0, 0.0)
+        assert solution.residual == 0.0
 
 
 #: each solver that takes a tol, on a solvable input

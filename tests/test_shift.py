@@ -340,6 +340,19 @@ class TestShiftedDistribution:
         assert dist.probs[0] == pytest.approx(1 / z, abs=1e-12)
         assert dist.probs[1] == pytest.approx(math.exp(-1) / z, abs=1e-12)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_overflowing_span_below_one(self, q):
+        # x_i - a and the q = 1 closed form's x_min - x_i overflowed with a
+        # RuntimeWarning; the inf difference's term is exactly 0
+        dist, solution = shifted_distribution(Spectrum([-1e308, 1e308]), QParam(q))
+        assert dist.probs == (1.0, 0.0)
+        assert solution.residual == 0.0
+
+    def test_overflowing_span_above_one_is_infeasible(self):
+        # feasibility's gaps overflowed with a RuntimeWarning before it raised
+        with pytest.raises(InfeasibleError):
+            shifted_distribution(Spectrum([-1e308, 1e308]), QParam(1.5))
+
     def test_probs_are_the_solves_own_last_pass(self, monkeypatch):
         rng = np.random.default_rng(53)
         # W = 1, q = 1 and q = 2 take the closed forms
