@@ -138,10 +138,10 @@ class Spectrum(_FrozenVector):
 
     def __init__(self, values: Iterable[float]):
         super().__init__(values, "spectrum")
-        if not np.isfinite(self._array).all():
+        object.__setattr__(self, "x_min", float(np.minimum.reduce(self._array)))
+        object.__setattr__(self, "x_max", float(np.maximum.reduce(self._array)))
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):  # NaN reaches both
             raise RangeError("spectrum values must all be finite")
-        object.__setattr__(self, "x_min", float(self._array.min()))
-        object.__setattr__(self, "x_max", float(self._array.max()))
 
     values = property(lambda self: self._tuple)  # built on first access, then cached
 
@@ -160,10 +160,10 @@ class Distribution(_FrozenVector):
     def __init__(self, probs: Iterable[float]):
         super().__init__(probs, "distribution")
         arr = self._array
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also rejects NaN
+        if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0):  # rejects NaN
             bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
             raise RangeError(f"probability {float(bad)!r} outside [0, 1]")
-        total = float(arr.sum())
+        total = float(np.add.reduce(arr))
         # the pairwise sum is within W eps of the exact one: only this close can fsum differ
         if abs(abs(total - 1.0) - NORMALIZATION_TOL) <= arr.size * 2.0**-52 * total:
             total = math.fsum(arr)
@@ -173,39 +173,48 @@ class Distribution(_FrozenVector):
     probs = property(lambda self: self._tuple)  # built on first access, then cached
 
 
-def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False, out=None):
+def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False, out=None,
+                  lowest: float | None = None):
     """The deformed exponential [1 - (q-1) z_i]^(1/(q-1)) of a float array z.
 
     ``qm1`` is q - 1; at 0 this is exp(-z_i).  With ``slope`` it returns
-    the pair (p, p^(2-q)), where p^(2-q) = -dp/dz = p / base.  A negative
-    base raises :class:`DomainError`, or evaluates to 0 under ``cutoff``.
+    the pair (p, p^(2-q)) of :func:`_slope`.  A negative base raises
+    :class:`DomainError`, or evaluates to 0 under ``cutoff``.  ``lowest``,
+    the smallest base where the caller knows it, saves a pass.
 
-    ``z`` is scratch space and is overwritten.  Without ``slope`` p is
-    written over it; with ``slope`` p goes into ``out`` (a new array when
-    None).
+    The base 1 - qm1 z (-z at q = 1) is left in ``z``, and p goes into
+    ``out`` (when None over z, or with ``slope`` a new array).  The caller
+    owns numpy's error state, which must ignore over, divide and invalid.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if qm1 == 0.0:
-            p = np.exp(np.negative(z, out=z), out=out if slope else z)
-            return (p, p) if slope else p
-        z *= -qm1
-        z += 1.0  # the base 1 - qm1 z, bit for bit
+    out = z if out is None and not slope else out
+    if qm1 == 0.0:
+        p = np.exp(np.negative(z, out=z), out=out)
+        return (p, p) if slope else p
+    z *= -qm1
+    z += 1.0  # the base 1 - qm1 z, bit for bit
+    if lowest is None:
         lowest = np.minimum.reduce(z, None)
-        if lowest < 0.0 and not cutoff:
-            raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
-        # p is 0 at a negative base, whose power is nan or has the wrong sign,
-        # and for q > 1 at a zero base, where p / base would be 0/0; the
-        # slope there is p^(2-q) at p = 0
-        zero = (z <= 0.0 if qm1 > 0.0 else z < 0.0) if lowest <= 0.0 else None
-        p = np.power(z, 1.0 / qm1, out=out if slope else z)
-        if zero is not None:
-            p[zero] = 0.0
-        if not slope:
-            return p
-        dp = np.divide(p, z, out=z)
-        if zero is not None:
-            dp[zero] = np.power(0.0, 1.0 - qm1)
-        return p, dp
+    if lowest < 0.0 and not cutoff:
+        raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
+    # p is 0 at a negative base, whose power is nan or has the wrong sign
+    zero = (z <= 0.0 if qm1 > 0.0 else z < 0.0) if lowest <= 0.0 else None
+    p = np.power(z, 1.0 / qm1, out=out)
+    if zero is not None:
+        p[zero] = 0.0
+    return (p, _slope(p, z, qm1, lowest)) if slope else p
+
+
+def _slope(p, base, qm1: float, lowest: float):
+    """p^(2-q) = p / base of a :func:`_deformed_exp` pass, written over its base.
+
+    Once ``lowest``, the smallest base, is <= 0, p^(2-q) at p = 0 replaces -0 and 0/0 where p is 0.
+    """
+    if qm1 == 0.0:
+        return p
+    dp = np.divide(p, base, out=base)
+    if lowest <= 0.0:
+        dp[p == 0.0] = np.power(0.0, 1.0 - qm1)
+    return dp
 
 
 def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:
@@ -218,7 +227,8 @@ def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:
     xv = float(x)
     if not math.isfinite(xv):
         raise RangeError(f"argument must be finite, got {x!r}")
-    return float(_deformed_exp(np.array([xv]), q.q - 1.0, cutoff=mode is Mode.CUTOFF)[0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(_deformed_exp(np.array([xv]), q.q - 1.0, cutoff=mode is Mode.CUTOFF)[0])
 
 
 def inverse_q_factor(p: float, q: QParam, a: float = 0.0) -> float:

@@ -67,9 +67,9 @@ def bg_entropy(p: Distribution) -> float:
 def _measure(probs: np.ndarray, q: float, denominator: float) -> np.ndarray:
     """(1 - sum_i p_i^q) / denominator, or -sum_i p_i ln p_i at q = 1, along the last axis."""
     if q == 1.0:
-        s = -(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)).sum(axis=-1)
+        s = -np.add.reduce(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0.0), -1)
     else:
-        s = (1.0 - np.power(probs, q).sum(axis=-1)) / denominator
+        s = (1.0 - np.add.reduce(np.power(probs, q), -1)) / denominator
     # "+ 0.0" normalizes a signed zero, as from the negative denominator at q < 1
     return s + 0.0
 

@@ -82,7 +82,8 @@ def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
     :class:`DomainError` (strict policy).
     """
     a = shift_from_alpha(q, params.alpha)
-    probs = _deformed_exp(params.beta * params.energies.as_array() - a, q.q - 1.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        probs = _deformed_exp(params.beta * params.energies.as_array() - a, q.q - 1.0)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise NormalizationError(f"multipliers inconsistent: probabilities sum to {total}")
@@ -143,11 +144,14 @@ class _Chart:
         self.ref, self.unit = energies.x_min if sign > 0.0 else energies.x_max, sign / self.scale
         self.d = np.subtract(energies.as_array() * self.unit, self.ref * self.unit)
         self.u, self.z = np.empty(energies.W), np.empty(energies.W)
-        self.s_max = 1.0 / (self.qm1 * float(self.d.max())) if self.qm1 > 0.0 else math.inf
+        self.d_max = float(np.maximum.reduce(self.d))
+        self.s_max = 1.0 / (self.qm1 * self.d_max) if self.qm1 > 0.0 else math.inf
 
     def __call__(self, s: float):
         """(u, u^(2-q), sum u) at s; the next pass overwrites both arrays."""
-        u, w = _deformed_exp(np.multiply(self.d, s, out=self.z), self.qm1, True, True, self.u)
+        lowest = (self.d_max * s) * -self.qm1 + 1.0 if self.qm1 > 0.0 else 1.0  # 1 at d = 0
+        u, w = _deformed_exp(np.multiply(self.d, s, out=self.z), self.qm1, True, True, self.u,
+                             lowest)
         self.s, self.total = s, float(np.add.reduce(u))
         return u, w, self.total
 
@@ -240,7 +244,7 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
     newton = -g0 / chart.scale * W / float(np.dot(centred, centred))
     near, reach = 0.0, newton if 0.0 < newton < math.inf else 1.0
     # for q > 2, w overflows where u nears the cutoff
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while True:
             far = min(reach, chart.s_max)
             if fd(far)[0] >= 0.0:
@@ -250,10 +254,10 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
                                    "feasible beta range")
             near, reach = far, 2.0 * reach
         s, g, _, _ = _newton_in_bracket(fd, far, near, far, _BETA_TOL, _BETA_PROBES)
-    if abs(g) > _BETA_TOL:
-        raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
-                               f"for target {target_u}")
-    dist, beta = Distribution(chart.probs(s)), chart.beta()
+        if not abs(g) <= _BETA_TOL:
+            raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
+                                   f"for target {target_u}")
+        dist, beta = Distribution(chart.probs(s)), chart.beta()
     # beta / cap <= s / s_max, as sum u falls while s grows
     if s > _CAP * chart.s_max and abs(beta) > chart.cap():
         raise BracketError(f"target {target_u} needs a beta beyond the feasible cap")
@@ -374,13 +378,12 @@ def escort_distribution(
             top = _newton_in_bracket(fb, lo, lo, end, 1e-15, _ESCORT_PROBES)[0] if lo < end else lo
             if top > lo and fd(top)[0] >= -1e-2 * tol:
                 log_s, g, _, _ = _newton_in_bracket(fd, top, lo, top, 1e-2 * tol, _ESCORT_PROBES)
-    if clipped and g < -1e-2 * tol:
-        low = cap < abs(beta) * math.exp(-2.0 * qm1 * log_w)  # the lower end of b's range
-        raise (InfeasibleError if low else BracketError)(
-            f"no escort multiplier within the beta caps at beta {beta}")
-    p = chart.probs(math.exp(min(log_s, _LOG_S_MAX)))
-    # one map application, in the chart's units: x_i - xbar = |beta| 2^k (d_i - dbar)
-    with np.errstate(over="ignore", invalid="ignore"):
+        if clipped and g < -1e-2 * tol:
+            low = cap < abs(beta) * math.exp(-2.0 * qm1 * log_w)  # the lower end of b's range
+            raise (InfeasibleError if low else BracketError)(
+                f"no escort multiplier within the beta caps at beta {beta}")
+        p = chart.probs(math.exp(min(log_s, _LOG_S_MAX)))
+        # one map application, in the chart's units: x_i - xbar = |beta| 2^k (d_i - dbar)
         weights = np.power(p, qt)
         c = float(np.add.reduce(weights))
         arg = np.subtract(d, float(np.dot(weights, d)) / c)

@@ -15,14 +15,13 @@ explicit partition factor.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_exp
+from .core import Distribution, QParam, Spectrum, _deformed_exp, _slope
 from .errors import ConvergenceError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
@@ -30,7 +29,6 @@ RESIDUAL_BOUND = 1e-10
 
 #: |f(a) - 1| at which the Newton iteration stops by default, and its budget of kernel passes
 _SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
-_AS_IS = contextlib.nullcontext()  # numpy's error handling left as the caller set it
 
 
 class SolveMethod(enum.Enum):
@@ -81,7 +79,8 @@ def domain_interval(spectrum: Spectrum, q: QParam) -> tuple[float, float]:
 
 def partition_value(a: float, spectrum: Spectrum, q: QParam) -> float:
     """f(a): the partition sum at shift a.  Strictly increasing in a."""
-    return float(_deformed_exp(spectrum.as_array() - a, q.q - 1.0).sum())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(_deformed_exp(spectrum.as_array() - a, q.q - 1.0).sum())
 
 
 def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
@@ -91,7 +90,8 @@ def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
     derivative is singular at a base of exactly zero, which raises
     :class:`SingularityError`.
     """
-    _, slope = _deformed_exp(spectrum.as_array() - a, q.q - 1.0, slope=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _, slope = _deformed_exp(spectrum.as_array() - a, q.q - 1.0, slope=True)
     if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
         raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
     return float(slope.sum())
@@ -107,18 +107,21 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
     if not q.is_super_unit:
         return FeasibilityReport(endpoint_value=0.0, sufficient_bound=0.0, feasible=True)
     qm1 = q.q - 1.0
-    x = spectrum.as_array()
-    # the endpoint terms in gap form, which keeps a zero gap exactly zero
-    gaps = np.subtract(spectrum.x_max, x)
-    gaps *= qm1
     with np.errstate(over="ignore"):
-        endpoint_value = float(np.power(gaps, 1.0 / qm1, out=gaps).sum())
+        endpoint_value = _endpoint_sum(spectrum.as_array(), spectrum.x_max, qm1)
         max_term = np.power(qm1 * (spectrum.x_max - spectrum.x_min), 1.0 / qm1)
     return FeasibilityReport(
         endpoint_value=endpoint_value,
         sufficient_bound=float(spectrum.W * max_term),
         feasible=endpoint_value <= 1.0,
     )
+
+
+def _endpoint_sum(x: np.ndarray, x_max: float, qm1: float) -> float:
+    """f at the q > 1 domain endpoint, its terms in gap form, which keeps a zero gap exactly 0."""
+    gaps = np.subtract(x_max, x)
+    gaps *= qm1
+    return float(np.add.reduce(np.power(gaps, 1.0 / qm1, out=gaps)))
 
 
 def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter: int):
@@ -153,14 +156,15 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
     return best[0], best[1], (lo, hi), evaluations
 
 
-def _kernel_pass(x: np.ndarray, a: float, qm1: float, work: tuple[np.ndarray, np.ndarray]):
-    """The pair (p, p^(2-q)) of one kernel pass at shift a, written into ``work``.
+def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
+                 work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """p of one kernel pass at shift a into ``work[1]``, its base left in ``work[0]``.
 
-    ``work`` is two float arrays the size of x.  At q = 1 both results are
-    the same array, so read the slope from the returned pair only.  Bases
-    a rounding error below zero at the q > 1 endpoint count as 0.
+    ``work`` is two float arrays the size of x, and ``lowest`` the
+    smallest base.  Bases a rounding error below zero at the q > 1
+    endpoint count as 0.
     """
-    return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, True, work[1])
+    return _deformed_exp(np.subtract(x, a, work[0]), qm1, False, True, work[1], lowest)
 
 
 def _z(n: float, qm1: float) -> float:
@@ -188,30 +192,36 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
 
     ``qm1`` is q - 1, ``x_min`` and ``x_max`` are the extremes of x,
     ``endpoint_value`` is f at the q > 1 domain endpoint (at most 1) and
-    ``work`` is the caller's workspace of :func:`_kernel_pass`.  The
-    Newton iteration runs on h = (f^(q-1) - 1)/(q-1) (log f at q = 1),
-    which has the sign of f - 1 and is nearly linear in a, with
-    h' = f^(q-2) f' from the same pass; it stops once |h| <= ``tol``,
-    which is |f - 1| <= ``tol`` to within a relative O(tol).  It begins
-    at x_max - z_W and takes at most ``_SHIFT_PASSES`` passes.  Returns
-    (solution, p, p^(2-q)) with p and p^(2-q) at ``solution.a0`` and the
-    residual f(a0) - 1: when the iteration's best point came before its
-    last pass, one more pass evaluates them there.  Both live in
-    ``work``, so the next pass overwrites them.
+    ``work`` is the caller's workspace of :func:`_kernel_pass`, and the
+    caller owns numpy's error state.  The Newton iteration runs on
+    h = (f^(q-1) - 1)/(q-1) (log f at q = 1), which has the sign of f - 1
+    and is nearly linear in a; it stops once |h| <= ``tol``, which is
+    |f - 1| <= ``tol`` to within a relative O(tol), and a pass that does
+    not stop it also sums h' = f^(q-2) f'.  It begins at x_max - z_W and
+    takes at most ``_SHIFT_PASSES`` passes.  Returns (solution, p) with p
+    at ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
+    iteration's best point came before its last pass, one more pass
+    evaluates them there.  p lives in ``work``, so the next pass
+    overwrites it.
     """
-    last = None  # (a, p, slope, f - 1) of the latest pass
+    last = None  # (a, p, f - 1) of the latest pass
+    ext = x_max if qm1 > 0.0 else x_min  # its base is the smallest, by the same float operations
 
     def fd(a: float) -> tuple[float, float]:
         nonlocal last
-        p, slope = _kernel_pass(x, a, qm1, work)
+        lowest = (ext - a) * -qm1 + 1.0
+        p = _kernel_pass(x, a, qm1, lowest, work)
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
         r = float(np.add.reduce(p)) - 1.0
-        last = (a, p, slope, r)
+        last = (a, p, r)
         if r == -1.0:  # f underflowed to 0, where log1p raises
             return (-1.0 / qm1 if qm1 > 0.0 else -math.inf), math.nan
         log_f = math.log1p(r)
         try:
             h = math.expm1(qm1 * log_f) / qm1 if qm1 != 0.0 else log_f
+            if abs(h) <= tol:  # the iteration stops here, so f' is not needed
+                return h, math.nan
+            slope = _slope(p, work[0], qm1, lowest)
             return h, float(np.add.reduce(slope)) * math.exp((qm1 - 1.0) * log_f)
         except OverflowError:  # h or h' beyond a double: its sign still orders the bracket
             return math.copysign(math.inf, r), math.nan
@@ -222,9 +232,9 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
             # a feasible q = 2 root can round a hair below the endpoint
             a0 = max(a0, x_max - 1.0 / qm1)
         fd(a0)
-        if abs(last[3]) > RESIDUAL_BOUND:
-            raise ConvergenceError(f"closed form residual {last[3]} above bound")
-        return (ShiftSolution(a0, last[3], (a0, a0), 0, SolveMethod.CLOSED_FORM), *last[1:3])
+        if not abs(last[2]) <= RESIDUAL_BOUND:
+            raise ConvergenceError(f"closed form residual {last[2]} above bound")
+        return ShiftSolution(a0, last[2], (a0, a0), 0, SolveMethod.CLOSED_FORM), last[1]
 
     # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
     # probability exceeds 1 below it.  The default start, where every
@@ -237,39 +247,36 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
         if endpoint_value == 1.0:
             # the root is the endpoint itself, where f' can be singular
             fd(endpoint)
-            if abs(last[3]) > RESIDUAL_BOUND:
-                raise ConvergenceError(f"endpoint residual {last[3]} above bound")
-            return (ShiftSolution(endpoint, last[3], (endpoint, endpoint), 0,
-                                  SolveMethod.BISECTION), *last[1:3])
+            if not abs(last[2]) <= RESIDUAL_BOUND:
+                raise ConvergenceError(f"endpoint residual {last[2]} above bound")
+            return (ShiftSolution(endpoint, last[2], (endpoint, endpoint), 0,
+                                  SolveMethod.BISECTION), last[1])
         lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
     start = min(x_max - _z(x.size, qm1), hi)
     a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
     if last[0] != a0:
         fd(a0)  # the best point came earlier
-    if abs(last[3]) > RESIDUAL_BOUND:
+    if not abs(last[2]) <= RESIDUAL_BOUND:
         raise ConvergenceError(
-            f"solver stopped with residual {last[3]} after {iterations} iterations"
+            f"solver stopped with residual {last[2]} after {iterations} iterations"
         )
-    return (ShiftSolution(a0, last[3], bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON),
-            *last[1:3])
+    return (ShiftSolution(a0, last[2], bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON),
+            last[1])
 
 
 def _solve(spectrum: Spectrum, q: QParam, tol: float, use_closed_forms: bool):
-    """:func:`solve_shift`'s solve, returning (solution, p, p^(2-q)) at a0 from its last pass."""
+    """:func:`solve_shift`'s solve, returning (solution, p) with p at a0 from its last pass."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    qm1, x = q.q - 1.0, spectrum.as_array()
     # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
     # for q <= 1, and whose endpoint terms make q > 1 infeasible
-    wide = not math.isfinite(spectrum.x_max - spectrum.x_min)
-    with np.errstate(over="ignore") if wide else _AS_IS:
-        report = feasibility(spectrum, q)
-        if not report.feasible:
-            raise InfeasibleError(
-                f"no real shift for q={q.q}: endpoint sum {report.endpoint_value} > 1"
-            )
-        work = (np.empty(spectrum.W), np.empty(spectrum.W))
-        return _solve_root(spectrum.as_array(), spectrum.x_min, spectrum.x_max, q.q - 1.0,
-                           report.endpoint_value, work, tol, use_closed_forms)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        endpoint_value = _endpoint_sum(x, spectrum.x_max, qm1) if qm1 > 0.0 else 0.0
+        if not endpoint_value <= 1.0:
+            raise InfeasibleError(f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
+        return _solve_root(x, spectrum.x_min, spectrum.x_max, qm1, endpoint_value,
+                           (np.empty(x.size), np.empty(x.size)), tol, use_closed_forms)
 
 
 def solve_shift(
@@ -290,15 +297,16 @@ def solve_shift(
     linearising transform h = (f^(q-1) - 1)/(q-1), log f at q = 1: each
     p_i^(q-1) is affine in a, so h is exactly linear for W = 1, for a
     flat spectrum and at q = 1, and nearly linear otherwise.  Its slope
-    h' = f^(q-2) f' comes from the same kernel pass as f.  They stop once
-    |h| <= ``tol``; as h = (f - 1)(1 + O(f - 1)), that is |f - 1| <= ``tol``
-    to within a relative O(``tol``), which is what the CLI's ``--tol``
-    sets.  ``iterations`` counts those kernel passes, and ``residual`` is
-    f(a0) - 1 itself.
+    h' = f^(q-2) f' comes from the same kernel pass as f, when it steps.
+    They stop once |h| <= ``tol``; as h = (f - 1)(1 + O(f - 1)), that is
+    |f - 1| <= ``tol`` to within a relative O(``tol``), which is what the
+    CLI's ``--tol`` sets.  ``iterations`` counts those kernel passes, and
+    ``residual`` is f(a0) - 1 itself.  numpy's overflow, division and
+    invalid-value errors are ignored throughout the solve.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes
-    is exhausted with the residual above ``RESIDUAL_BOUND``.
+    is exhausted with the residual above ``RESIDUAL_BOUND`` or NaN.
     """
     return _solve(spectrum, q, tol, use_closed_forms)[0]
 
@@ -311,6 +319,5 @@ def shifted_distribution(spectrum: Spectrum, q: QParam) -> tuple[Distribution, S
     probabilities come back in spectrum order and sum to 1 within the
     solver residual bound.
     """
-    solution, p, slope = _solve(spectrum, q, _SHIFT_TOL, True)
-    del slope  # freed before Distribution copies p, so two W-sized arrays are the peak
+    solution, p = _solve(spectrum, q, _SHIFT_TOL, True)
     return Distribution(p), solution

@@ -15,6 +15,7 @@ from qentropy import (
     InfeasibleError,
     LagrangeParams,
     NormalizationError,
+    QentropyError,
     QParam,
     RangeError,
     Spectrum,
@@ -257,6 +258,43 @@ class TestSolveBeta:
             # no pass outside a probe, and no probe twice but for the returned p
             assert passes[0] == len(probes) <= len(set(probes)) + 1
 
+    def test_chart_lowest_is_the_smallest_base_bit_for_bit(self, monkeypatch):
+        seen, kernel = [], core._deformed_exp
+
+        def spied(z, qm1, slope=False, cutoff=False, out=None, lowest=None):
+            if lowest is not None:  # a chart pass; the escort's map application finds its own
+                base = z * -qm1
+                base += 1.0
+                seen.append((lowest, np.minimum.reduce(base)))
+            return kernel(z, qm1, slope, cutoff, out, lowest)
+
+        monkeypatch.setattr(maxent, "_deformed_exp", spied)
+        rng = np.random.default_rng(83)
+        problems = beta_problems(rng, (0.3, 0.5, 0.8, 1.0 - 1e-5, 1.5, 2.0, 3.0))
+        for q in (1.0 + 1e-5, 10.0) * 8:  # near-flat targets: the oracle's caps underflow here
+            energies = Spectrum(rng.random(100))
+            target = float(energies.as_array().mean() + rng.uniform(-0.05, 0.05))
+            problems.append((QParam(q), energies, target, None))
+        for qp, energies, target, beta_star in problems:
+            for offset in (0.0, -3.0, 1e8):
+                for span in (1e-3, 1.0, 1e3):
+                    shifted = Spectrum(energies.as_array() * span + offset)
+                    try:
+                        solve_beta(qp, shifted, target * span + offset)
+                        if qp.q < 2.0 and beta_star is not None:
+                            escort_distribution(2.0 - qp.q, shifted, beta_star / span)
+                    except QentropyError:
+                        pass  # offset 1e8 with a span of 1e-3 leaves U coarser than its tol
+                    chart = maxent._Chart(qp.q, shifted, 1.0)
+                    if qp.q > 1.0:  # on and a hair either side of the feasible boundary
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            for s in np.nextafter(chart.s_max, [0.0, chart.s_max, math.inf]):
+                                chart(float(s))
+        assert len(seen) > 2000
+        assert any(lowest <= 0.0 for lowest, _ in seen)
+        for lowest, smallest in seen:
+            assert np.float64(lowest).tobytes() == smallest.tobytes()
+
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_agrees_with_cold_solve_over_q(self, q):
         for qp, energies, target, beta_star in beta_problems(np.random.default_rng(79), (q,)):
@@ -280,7 +318,8 @@ class TestSolveBeta:
                 # the target lies beyond the mean energy at the feasible boundary
                 sign = 1.0 if target < energies.as_array().mean() else -1.0
                 chart = maxent._Chart(q, energies, sign)
-                u, _, total = chart(chart.s_max)
+                with np.errstate(divide="ignore", invalid="ignore"):  # the caller owns it
+                    u, _, total = chart(chart.s_max)
                 edge = chart.energy(float(np.dot(u, chart.d)) / total)
                 assert sign * (target - edge) < 0.0
                 outcomes.append(False)

@@ -316,6 +316,122 @@ class TestSolveShift:
                 solution = solve_shift(spectrum, QParam(q), use_closed_forms=closed)
                 assert solution.residual == partition_value(solution.a0, spectrum, QParam(q)) - 1.0
 
+    @staticmethod
+    def _spy_lowest(monkeypatch):
+        """A list of (lowest, np.minimum.reduce(base)) pairs, one per later kernel pass."""
+        seen, kernel = [], shift._deformed_exp
+
+        def spied(z, qm1, slope=False, cutoff=False, out=None, lowest=None):
+            base = z * -qm1
+            base += 1.0
+            seen.append((lowest, np.minimum.reduce(base)))
+            return kernel(z, qm1, slope, cutoff, out, lowest)
+
+        monkeypatch.setattr(shift, "_deformed_exp", spied)
+        return seen
+
+    def test_lowest_is_the_smallest_base_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        cases = []
+        for q in (0.3, 0.5, 0.8, 1.0 - 1e-5, 1.0 + 1e-5, 1.5, 2.0, 3.0, 10.0):
+            for offset in (0.0, -3.0, 1e8):
+                for span in (1e-3, 1e-1, 1e1, 1e3):
+                    x = offset + span * rng.random(int(rng.integers(2, 60)))
+                    if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
+                        scale = (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+                        x = x.min() + (x - x.min()) * scale
+                    cases.append((Spectrum(x), QParam(q)))
+        seen = self._spy_lowest(monkeypatch)
+        for spectrum, q in cases:
+            try:
+                solve_shift(spectrum, q, use_closed_forms=False)
+            except ConvergenceError:
+                pass  # offset 1e8 with a span of 1e-3 can sit below the rounding of f
+        assert len(seen) > 4 * len(cases)
+        for lowest, smallest in seen:
+            assert np.float64(lowest).tobytes() == smallest.tobytes()
+
+    def test_one_error_state_per_solve(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        x = rng.random(200)
+        cases = [(Spectrum(x), 0.5, True), (Spectrum(x), 1.0, True), (Spectrum(x), 1.0, False),
+                 (Spectrum(x * 1e-4), 2.0, True), (Spectrum([0.0, 1.0]), 2.0, False),
+                 (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2), 3.0, False),
+                 # 16 passes, then ConvergenceError: f cannot resolve its root in doubles
+                 (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 5.0)) ** 4), 5.0, False),
+                 (Spectrum([-1e308, 1e308]), 0.5, False)]
+        made, errstate = [], np.errstate
+
+        def counted(**kwargs):
+            made.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        passes = self._count_passes(monkeypatch)
+        most = 0
+        for spectrum, q, closed in cases:
+            for solve in (lambda: solve_shift(spectrum, QParam(q), use_closed_forms=closed),
+                          lambda: shifted_distribution(spectrum, QParam(q))):
+                made.clear()
+                passes.clear()
+                try:
+                    solve()
+                except ConvergenceError:
+                    assert q == 5.0
+                assert made == [{"over": "ignore", "divide": "ignore", "invalid": "ignore"}]
+                most = max(most, len(passes))
+        assert most >= 16
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_only_stepping_passes_compute_the_slope(self, monkeypatch, q):
+        # a pass that meets tol ends the iteration, so it needs no f': no divide
+        # and no second sum; and no pass reduces the base for its minimum
+        x = np.random.default_rng(79).random(10**6)
+        if q > 1.0:
+            x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+        spectrum = Spectrum(x)
+        events, slope, divide, minimum = [], shift._slope, np.divide, np.minimum
+
+        class Minimum:
+            def reduce(self, *args, **kwargs):
+                events.append("minimum")
+                return minimum.reduce(*args, **kwargs)
+
+        def spied_slope(*args):
+            events.append("slope")
+            return slope(*args)
+
+        def spied_divide(*args, **kwargs):
+            events.append("divide")
+            return divide(*args, **kwargs)
+
+        monkeypatch.setattr(shift, "_slope", spied_slope)
+        monkeypatch.setattr(np, "divide", spied_divide)
+        monkeypatch.setattr(np, "minimum", Minimum())
+        passes = self._count_passes(monkeypatch)
+        solution = solve_shift(spectrum, QParam(q), use_closed_forms=False)
+        steps = len(passes) - 1
+        assert abs(solution.residual) <= 1e-12 and steps >= 1
+        assert "minimum" not in events
+        assert events.count("slope") == steps
+        assert events.count("divide") == (0 if q == 1.0 else steps)
+
+    @pytest.mark.parametrize("values, q, closed", [
+        (np.linspace(0.0, 1.0, 30), 0.5, False),  # the Newton iteration
+        (np.linspace(0.0, 1.0, 30), 1.0, True),  # a closed form
+        ([0.0, 1.0], 2.0, False),  # the q > 1 domain endpoint, where f(endpoint) = 1
+    ], ids=["generic", "closed-form", "endpoint"])
+    def test_nan_residual_is_not_a_solution(self, monkeypatch, values, q, closed):
+        # the solve ignores invalid values, so a NaN f must fail its residual check
+        kernel = shift._kernel_pass
+
+        def poisoned(*args):
+            return np.multiply(kernel(*args), math.nan, out=args[-1][1])
+
+        monkeypatch.setattr(shift, "_kernel_pass", poisoned)
+        with pytest.raises(ConvergenceError):
+            solve_shift(Spectrum(values), QParam(q), use_closed_forms=closed)
+
     def test_iteration_budget_is_respected(self, monkeypatch):
         monkeypatch.setattr(shift, "_SHIFT_PASSES", 3)
         with pytest.raises(ConvergenceError):
