@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -75,6 +75,24 @@ class TestUncertainty:
         reference = bg_entropy(dist)
         for q in (1.0 - 1e-6, 1.0 + 1e-6):
             assert abs(uncertainty(dist, QParam(q)) - reference) <= 1e-5
+
+    @pytest.mark.parametrize("q", [1.0 - 2**-53, 1.0 + 2**-52, 1.0 - 1e-11, 1.0 + 1e-11,
+                                   1.0 - 1e-5, 1.0 + 1e-5])
+    def test_fair_coin_near_q1_to_a_few_ulps(self, q):
+        # with d = 1 - q and x = d ln 2, I = (2^d - 1) / (q d) = (ln 2 / q)(1 + x/2 + x^2/6 + ...)
+        x = (1.0 - q) * math.log(2.0)
+        expected = math.log(2.0) / q * (1.0 + x / 2.0 + x * x / 6.0 + x**3 / 24.0)
+        coin = Distribution([0.5, 0.5])
+        assert uncertainty(coin, QParam(q)) == pytest.approx(expected, rel=4e-16, abs=0.0)
+        assert max_uncertainty(2, QParam(q)) == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+    def test_shortfall_beyond_rounding_is_kept(self):
+        # 1 - sum p = -1e-12 is no rounding: it enters as -1e-12 / (q (q - 1)), about -1e-7
+        probs = [0.5, 0.5 + 1e-12]
+        q = 1.0 + 1e-5
+        value = uncertainty(Distribution(probs), QParam(q))
+        assert value == pytest.approx(oracles.uncertainty(probs, q), abs=1e-9)
+        assert abs(value - uncertainty(Distribution([0.5, 0.5]), QParam(q))) > 5e-8
 
     @given(
         weights_a=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=8),
@@ -184,11 +202,38 @@ class TestCompose:
         weights_b=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=8),
         q=st.one_of(st.floats(min_value=0.01, max_value=3.0), st.just(1.0)),
     )
+    # fair coins one ulp below q = 1: the old measure read 0 for each and 2.0 for the pair
+    @example(weights_a=[1.0, 1.0], weights_b=[1.0, 1.0], q=1.0 - 2**-53)
+    # sum p_ab is off 1 by rounding, which divided by q (q - 1) gave a mismatch of 1.0
+    @example(weights_a=[1.0, 1.0], weights_b=[1.0, 0.5], q=1.0 - 2**-53)
+    @example(weights_a=[1.0, 1.0], weights_b=[1.0, 1.0], q=0.99999)
+    # both sides about 1917.41, once 5 ulps apart
+    @example(weights_a=[0.5, 0.3002185666933441, 0.4765625, 0.0659550513040722,
+                        0.9577859141605728, 0.9577859141605728, 1e-06],
+             weights_b=[1.0, 0.5, 0.75], q=0.01)
+    # rounding each numerator once, by fsum alone, leaves these two 2 ulps (1.8e-12) apart
+    @example(weights_a=[0.4748470262647109, 0.2149271848738678, 0.2611198390386412,
+                        0.32406734627196965, 0.547671340861684, 0.08941196957748486,
+                        0.40691494278634854, 0.6819226266013174],
+             weights_b=[0.8363985115446126, 0.516014960709741, 0.9499794521941237,
+                        0.7355021444331239, 0.7899087361909422, 0.13513723815003031,
+                        0.5054471091026173, 0.035516831797905005],
+             q=0.01)
     def test_identity_exact(self, weights_a, weights_b, q):
         p_a = Distribution([w / math.fsum(weights_a) for w in weights_a])
         p_b = Distribution([w / math.fsum(weights_b) for w in weights_b])
         result = compose(p_a, p_b, QParam(q))
         assert abs(result.formula_value - result.direct_value) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.01, 0.0100001, 0.99999, 1.0 - 2**-53, 1.0 + 2**-52,
+                                   1.00001, 0.75, 1.25])
+    def test_identity_over_seeded_pairs(self, q):
+        # up to 8 x 8 states: the measure nears 6113 at q = 0.01, where an ulp is 9.1e-13
+        rng = np.random.default_rng(1812)
+        for _ in range(200):
+            weights_a, weights_b = (rng.uniform(1e-6, 1.0, rng.integers(1, 9)).tolist()
+                                    for _ in range(2))
+            self.test_identity_exact.hypothesis.inner_test(self, weights_a, weights_b, q)
 
 
 class TestTwoStateSweep:
