@@ -25,6 +25,8 @@ from .errors import DomainError, EmptyError, NormalizationError, RangeError
 
 #: |sum(p) - 1| allowed when constructing a Distribution (user-input slack).
 NORMALIZATION_TOL = 1e-9
+#: numpy's error state for a kernel pass, whose overflow, 0/0 and zero-base poles are expected
+_KERNEL_ERRORS = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 class Mode(enum.Enum):
@@ -184,7 +186,7 @@ def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False, out=
 
     The base 1 - qm1 z (-z at q = 1) is left in ``z``, and p goes into
     ``out`` (when None over z, or with ``slope`` a new array).  The caller
-    owns numpy's error state, which must ignore over, divide and invalid.
+    owns numpy's error state, which must be ``np.errstate(**_KERNEL_ERRORS)``.
     """
     out = z if out is None and not slope else out
     if qm1 == 0.0:
@@ -227,7 +229,7 @@ def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:
     xv = float(x)
     if not math.isfinite(xv):
         raise RangeError(f"argument must be finite, got {x!r}")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         return float(_deformed_exp(np.array([xv]), q.q - 1.0, cutoff=mode is Mode.CUTOFF)[0])
 
 

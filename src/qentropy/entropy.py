@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Distribution, QParam, Spectrum
 from .errors import DomainError, RangeError, StepError
 from .shift import shifted_distribution
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -87,25 +84,26 @@ def _numerator(probs: np.ndarray, q: float, total=lambda terms: np.add.reduce(te
 
     1 - sum p^q loses about log2(1 / |q - 1|) bits to cancellation.  So within ``_NEAR_ONE``
     of q = 1 it is summed as (1 - sum p) - sum p expm1((q - 1) ln p), where nothing cancels
-    and (q - 1) ln p < 94 cannot overflow.  The shortfall 1 - sum p first loses ``rounding``:
-    divided by q (q - 1), the rounding of a normalized p would swamp the measure.
+    and (q - 1) ln p < 94 cannot overflow.  The shortfall 1 - sum p is dropped while within
+    ``rounding``: divided by q (q - 1), the rounding of a normalized p would swamp the measure.
     """
     if abs(q - 1.0) >= _NEAR_ONE:
         return 1 - total(np.power(probs, q))
     log_p = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    if q == 1.0:
-        return -total(probs * log_p)
+    if q == 1.0:  # in place: a fresh W-sized product costs as much as the log
+        return -total(np.multiply(probs, log_p, out=log_p))
     shortfall = 1 - total(probs)
-    shortfall -= np.clip(shortfall, -rounding, rounding)
-    return shortfall - total(probs * np.expm1((q - 1.0) * log_p))
+    shortfall *= abs(shortfall) > rounding
+    log_p *= q - 1.0
+    return shortfall - total(np.multiply(probs, np.expm1(log_p, out=log_p), out=log_p))
 
 
-def _rounded(x: Fraction) -> float:
-    """x rounded once to a float, overflowing to an infinity."""
+def _rounded(x) -> float:
+    """The Fraction x rounded once to a float, overflowing to an infinity."""
     try:
         return float(x)
     except OverflowError:
-        return math.copysign(math.inf, x)
+        return math.inf if x > 0 else -math.inf
 
 
 def tsallis_entropy(p: Distribution, q_tilde: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_exp
+from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -82,7 +82,7 @@ def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
     :class:`DomainError` (strict policy).
     """
     a = shift_from_alpha(q, params.alpha)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         probs = _deformed_exp(params.beta * params.energies.as_array() - a, q.q - 1.0)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
@@ -244,7 +244,7 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
     newton = -g0 / chart.scale * W / float(np.dot(centred, centred))
     near, reach = 0.0, newton if 0.0 < newton < math.inf else 1.0
     # for q > 2, w overflows where u nears the cutoff
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         while True:
             far = min(reach, chart.s_max)
             if fd(far)[0] >= 0.0:
@@ -370,7 +370,7 @@ def escort_distribution(
     # |G| within tol / 100 leaves the map residual far inside tol.  A clipped end is
     # probed once the root lies above the start: near the cap, c and so G fall again
     start, g = min(level - qm1 * log_w, hi), -math.inf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # u^(2qt-1) near 0
+    with np.errstate(**_KERNEL_ERRORS):  # u^(2qt-1) near 0
         if not clipped or lo <= hi and (fd(start)[0] >= 0.0 or fd(hi)[0] >= 0.0):
             log_s, g, _, _ = _newton_in_bracket(fd, start, lo, hi, 1e-2 * tol, _ESCORT_PROBES)
         if clipped and g < -1e-2 * tol:  # a root up to where b reaches the cap

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_exp, _slope
+from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _slope
 from .errors import ConvergenceError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
@@ -79,7 +79,7 @@ def domain_interval(spectrum: Spectrum, q: QParam) -> tuple[float, float]:
 
 def partition_value(a: float, spectrum: Spectrum, q: QParam) -> float:
     """f(a): the partition sum at shift a.  Strictly increasing in a."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         return float(_deformed_exp(spectrum.as_array() - a, q.q - 1.0).sum())
 
 
@@ -90,7 +90,7 @@ def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
     derivative is singular at a base of exactly zero, which raises
     :class:`SingularityError`.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         _, slope = _deformed_exp(spectrum.as_array() - a, q.q - 1.0, slope=True)
     if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
         raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
@@ -107,7 +107,7 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
     if not q.is_super_unit:
         return FeasibilityReport(endpoint_value=0.0, sufficient_bound=0.0, feasible=True)
     qm1 = q.q - 1.0
-    with np.errstate(over="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         endpoint_value = _endpoint_sum(spectrum.as_array(), spectrum.x_max, qm1)
         max_term = np.power(qm1 * (spectrum.x_max - spectrum.x_min), 1.0 / qm1)
     return FeasibilityReport(
@@ -271,7 +271,7 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float, use_closed_forms: bool):
     qm1, x = q.q - 1.0, spectrum.as_array()
     # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
     # for q <= 1, and whose endpoint terms make q > 1 infeasible
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**_KERNEL_ERRORS):
         endpoint_value = _endpoint_sum(x, spectrum.x_max, qm1) if qm1 > 0.0 else 0.0
         if not endpoint_value <= 1.0:
             raise InfeasibleError(f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")

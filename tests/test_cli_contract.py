@@ -94,6 +94,15 @@ def test_non_finite_result_gives_one_error_report(capsys):
                                  "error": "ValueError"}
 
 
+def test_overflowing_compose_gives_one_error_report(capsys):
+    # every field is about 1e320, beyond a double: one error report and no traceback
+    argv = ["compose", "--probs-a", "0.5,0.5", "--probs-b", "0.5,0.5", "--q", "1e-320"]
+    code, lines, err = run_in_process(capsys, argv)
+    report = assert_contract(code, lines, err, 1)
+    assert report["results"] == {"message": "cannot render non-finite value inf",
+                                 "error": "ValueError"}
+
+
 def test_failed_sweep_leaves_no_partial_csv(capsys, tmp_path):
     out = tmp_path / "o.csv"
     code, lines, err = run_in_process(capsys, ["sweep", "--q", "0.5,1e-320", "--points", "3",

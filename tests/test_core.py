@@ -21,7 +21,7 @@ from qentropy import (
     q_factor,
     validate_distribution,
 )
-from qentropy.core import NORMALIZATION_TOL, _deformed_exp
+from qentropy.core import NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp
 
 # q values away from the removable q = 1 point, plus the exact classical case
 q_values = st.one_of(
@@ -116,8 +116,7 @@ class TestDeformedExpKernel:
 
     @pytest.fixture(autouse=True)
     def _error_state(self):
-        # the kernel's callers own numpy's error state
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(**_KERNEL_ERRORS):  # the kernel's callers own numpy's error state
             yield
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.5, 2.0, 2.5, 3.0])

@@ -94,6 +94,15 @@ class TestUncertainty:
         assert value == pytest.approx(oracles.uncertainty(probs, q), abs=1e-9)
         assert abs(value - uncertainty(Distribution([0.5, 0.5]), QParam(q))) > 5e-8
 
+    @pytest.mark.parametrize("q", [1.0 - 1e-5, 1.0 + 1e-5])
+    def test_shortfall_enters_in_full(self, q):
+        # 1 - sum p = -10 eps, summed exactly, is past rounding: none of it may be dropped
+        probs = [0.25, 0.25, 0.5 + 10 * 2.0**-52]
+        shortfall = math.fsum([1.0] + [-p for p in probs])
+        rest = math.fsum(p * math.expm1((q - 1.0) * math.log(p)) for p in probs)
+        expected = (shortfall - rest) / (q * (q - 1.0))
+        assert uncertainty(Distribution(probs), QParam(q)) == pytest.approx(expected, rel=1e-13)
+
     @given(
         weights_a=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=8),
         weights_b=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=8),
@@ -176,6 +185,14 @@ class TestMaxUncertainty:
             max_uncertainty(0, QParam(2))
 
 
+def assert_identity(weights_a, weights_b, q):
+    """Both sides of the composition identity agree for the normalized weights."""
+    p_a = Distribution([w / math.fsum(weights_a) for w in weights_a])
+    p_b = Distribution([w / math.fsum(weights_b) for w in weights_b])
+    result = compose(p_a, p_b, QParam(q))
+    assert abs(result.formula_value - result.direct_value) <= 1e-12
+
+
 class TestCompose:
     def test_pair_of_coins_at_q2(self):
         result = compose(Distribution([0.5, 0.5]), Distribution([0.5, 0.5]), QParam(2))
@@ -220,10 +237,7 @@ class TestCompose:
                         0.5054471091026173, 0.035516831797905005],
              q=0.01)
     def test_identity_exact(self, weights_a, weights_b, q):
-        p_a = Distribution([w / math.fsum(weights_a) for w in weights_a])
-        p_b = Distribution([w / math.fsum(weights_b) for w in weights_b])
-        result = compose(p_a, p_b, QParam(q))
-        assert abs(result.formula_value - result.direct_value) <= 1e-12
+        assert_identity(weights_a, weights_b, q)
 
     @pytest.mark.parametrize("q", [0.01, 0.0100001, 0.99999, 1.0 - 2**-53, 1.0 + 2**-52,
                                    1.00001, 0.75, 1.25])
@@ -233,7 +247,14 @@ class TestCompose:
         for _ in range(200):
             weights_a, weights_b = (rng.uniform(1e-6, 1.0, rng.integers(1, 9)).tolist()
                                     for _ in range(2))
-            self.test_identity_exact.hypothesis.inner_test(self, weights_a, weights_b, q)
+            assert_identity(weights_a, weights_b, q)
+
+    def test_overflow_is_infinite(self):
+        # at q = 1e-320 every field is about 1e320: each rounds to inf, none raises
+        coin = Distribution([0.5, 0.5])
+        result = compose(coin, coin, QParam(1e-320))
+        assert (result.i_a, result.i_b, result.formula_value, result.direct_value,
+                result.nonextensive_term) == (math.inf,) * 5
 
 
 class TestTwoStateSweep:

@@ -287,7 +287,7 @@ class TestSolveBeta:
                         pass  # offset 1e8 with a span of 1e-3 leaves U coarser than its tol
                     chart = maxent._Chart(qp.q, shifted, 1.0)
                     if qp.q > 1.0:  # on and a hair either side of the feasible boundary
-                        with np.errstate(divide="ignore", invalid="ignore"):
+                        with np.errstate(**core._KERNEL_ERRORS):
                             for s in np.nextafter(chart.s_max, [0.0, chart.s_max, math.inf]):
                                 chart(float(s))
         assert len(seen) > 2000
@@ -318,7 +318,7 @@ class TestSolveBeta:
                 # the target lies beyond the mean energy at the feasible boundary
                 sign = 1.0 if target < energies.as_array().mean() else -1.0
                 chart = maxent._Chart(q, energies, sign)
-                with np.errstate(divide="ignore", invalid="ignore"):  # the caller owns it
+                with np.errstate(**core._KERNEL_ERRORS):  # the caller owns the error state
                     u, _, total = chart(chart.s_max)
                 edge = chart.energy(float(np.dot(u, chart.d)) / total)
                 assert sign * (target - edge) < 0.0
