@@ -2,8 +2,9 @@
 
 The package covers four pieces that fit together:
 
-* ``core`` -- the deformed exponential [1 - (q-1)x]^(1/(q-1)), its
-  inverse, and the QParam / Spectrum / Distribution value types;
+* ``core`` -- the QParam / Spectrum / Distribution value types, and the
+  array kernels of the deformed exponential [1 - (q-1)x]^(1/(q-1)) and
+  of its inverse, the deformed logarithm;
 * ``shift`` -- solving f(a0) = 1 so the distribution normalizes itself,
   including the exact existence test for q > 1;
 * ``entropy`` -- the uncertainty measure (1 - sum p^q)/(q(q-1)), its
@@ -16,13 +17,8 @@ The package covers four pieces that fit together:
 
 from .core import (
     Distribution,
-    Mode,
     QParam,
-    QRegime,
     Spectrum,
-    inverse_q_factor,
-    q_factor,
-    validate_distribution,
 )
 from .entropy import (
     CompositionResult,
@@ -50,7 +46,6 @@ from .errors import (
 from .maxent import (
     EscortSolution,
     LagrangeParams,
-    alpha_from_shift,
     escort_distribution,
     lagrange_distribution,
     maxent_distribution,
@@ -84,10 +79,8 @@ __all__ = [
     "FeasibilityReport",
     "InfeasibleError",
     "LagrangeParams",
-    "Mode",
     "NormalizationError",
     "QParam",
-    "QRegime",
     "QentropyError",
     "RangeError",
     "ShiftSolution",
@@ -96,20 +89,17 @@ __all__ = [
     "Spectrum",
     "StepError",
     "SweepTable",
-    "alpha_from_shift",
     "bg_entropy",
     "compose",
     "domain_interval",
     "escort_distribution",
     "feasibility",
-    "inverse_q_factor",
     "lagrange_distribution",
     "max_uncertainty",
     "maxent_distribution",
     "mean_energy",
     "partition_derivative",
     "partition_value",
-    "q_factor",
     "shift_from_alpha",
     "shifted_distribution",
     "solve_beta",
@@ -118,6 +108,5 @@ __all__ = [
     "tsallis_entropy",
     "two_state_sweep",
     "uncertainty",
-    "validate_distribution",
     "varentropy_residual",
 ]

@@ -1,4 +1,4 @@
-"""Domain types and q-deformed scalar primitives.
+"""Domain types and the q-deformed exponential and logarithm kernels.
 
 The deformed exponential used throughout is
 
@@ -13,11 +13,10 @@ and ``Distribution`` a validated probability vector.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,21 +26,6 @@ from .errors import DomainError, EmptyError, NormalizationError, RangeError
 NORMALIZATION_TOL = 1e-9
 #: numpy's error state for a kernel pass, whose overflow, 0/0 and zero-base poles are expected
 _KERNEL_ERRORS = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
-
-
-class Mode(enum.Enum):
-    """Policy for a negative base inside the deformed power."""
-
-    STRICT = "strict"    # raise DomainError
-    CUTOFF = "cutoff"    # evaluate to 0
-
-
-class QRegime(enum.Enum):
-    """Classification of the deformation index relative to 1."""
-
-    SUB_UNIT = "sub_unit"      # 0 < q < 1
-    CLASSICAL = "classical"    # q == 1 exactly
-    SUPER_UNIT = "super_unit"  # q > 1
 
 
 @dataclass(frozen=True)
@@ -62,12 +46,6 @@ class QParam:
         if not math.isfinite(qv) or qv <= 0.0:
             raise RangeError(f"deformation index must be a finite real > 0, got {self.q!r}")
         object.__setattr__(self, "q", qv)
-
-    @property
-    def regime(self) -> QRegime:
-        if self.q == 1.0:
-            return QRegime.CLASSICAL
-        return QRegime.SUB_UNIT if self.q < 1.0 else QRegime.SUPER_UNIT
 
     @property
     def is_classical(self) -> bool:
@@ -151,10 +129,6 @@ class Spectrum(_FrozenVector):
         """Spectrum with every value multiplied by ``factor``."""
         return Spectrum(factor * self._array)
 
-    def shifted(self, offset: float) -> "Spectrum":
-        """Spectrum with ``offset`` added to every value."""
-        return Spectrum(self._array + offset)
-
 
 class Distribution(_FrozenVector):
     """Probability vector on W microstates; validated, stored unrenormalized."""
@@ -219,40 +193,14 @@ def _slope(p, base, qm1: float, lowest: float):
     return dp
 
 
-def q_factor(x: float, q: QParam, mode: Mode = Mode.STRICT) -> float:
-    """Evaluate the deformed exponential at x.
+def _deformed_log(p, qm1: float):
+    """The inverse of :func:`_deformed_exp`: z with p_i = [1 - (q-1) z_i]^(1/(q-1)), for p > 0.
 
-    Strict mode raises :class:`DomainError` when the base 1 - (q-1)x is
-    negative; cutoff mode returns 0 there instead.  Both modes agree on
-    the valid domain and return exp(-x) at q = 1.
+    ``qm1`` is q - 1, and z = -expm1(qm1 ln p) / qm1 comes back in a new array;
+    at 0 this is -ln p.  Unlike (1 - p^qm1) / qm1, nothing cancels as q -> 1.
     """
-    xv = float(x)
-    if not math.isfinite(xv):
-        raise RangeError(f"argument must be finite, got {x!r}")
-    with np.errstate(**_KERNEL_ERRORS):
-        return float(_deformed_exp(np.array([xv]), q.q - 1.0, cutoff=mode is Mode.CUTOFF)[0])
-
-
-def inverse_q_factor(p: float, q: QParam, a: float = 0.0) -> float:
-    """Recover x from p = q_factor(x - a, q).
-
-    Returns (1 - p^(q-1))/(q-1) + a, or -ln(p) + a at q = 1.  Requires
-    p > 0; the round trip through :func:`q_factor` is exact to roundoff
-    for p bounded away from zero.
-    """
-    pv = float(p)
-    if pv <= 0.0:
-        raise DomainError(f"probability must be positive to invert, got {p!r}")
-    if q.is_classical:
-        return -math.log(pv) + a
-    return (1.0 - pv ** (q.q - 1.0)) / (q.q - 1.0) + a
-
-
-def validate_distribution(probs: Sequence[float]) -> Distribution:
-    """Validate a raw probability sequence and wrap it as a Distribution.
-
-    Raises EmptyError for an empty input, RangeError for entries outside
-    [0, 1], and NormalizationError when the sum strays from 1 by more
-    than ``NORMALIZATION_TOL``.
-    """
-    return Distribution(probs)
+    z = np.log(p)
+    if qm1 == 0.0:
+        return np.negative(z, out=z)
+    z *= qm1
+    return np.divide(np.expm1(z, out=z), -qm1, out=z)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum
+from .core import Distribution, QParam, Spectrum, _deformed_log
 from .errors import DomainError, RangeError, StepError
 from .shift import shifted_distribution
 
@@ -185,7 +185,8 @@ def varentropy_residual(
     """Check dI = sum_i x_i dp_i along a zero-sum tangent by forward difference.
 
     The self-normalized distribution p of ``spectrum`` recovers its
-    values through x_i = inverse_q_factor(p_i, q, a0); the returned
+    values through the deformed logarithm, the inverse of the deformed
+    exponential: x_i = a0 - expm1((q-1) ln p_i)/(q-1).  The returned
     residual |[I(p + step dp) - I(p)]/step - sum x_i dp_i| is first
     order in ``step``.  Raises :class:`StepError` when the stepped
     vector leaves the simplex.
@@ -209,7 +210,6 @@ def varentropy_residual(
 
     i_now = uncertainty(dist, q)
     i_moved = uncertainty(Distribution(moved), q)
-    qm1 = q.q - 1.0
-    xs = (-np.log(probs) if q.is_classical else (1.0 - np.power(probs, qm1)) / qm1) + solution.a0
+    xs = _deformed_log(probs, q.q - 1.0) + solution.a0
     pairing = float((xs * tangent).sum())
     return abs((i_moved - i_now) / step - pairing)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp
+from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _deformed_log
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -60,17 +60,11 @@ def shift_from_alpha(q: QParam, alpha: float) -> float:
 
     a = -1/(q-1) - alpha for q != 1.  The classical branch uses the
     log-normalizer convention a = -alpha, i.e. alpha = ln sum exp(-x).
+    The map is its own inverse, so it also gives alpha from a shift.
     """
     if q.is_classical:
         return -alpha
     return -1.0 / (q.q - 1.0) - alpha
-
-
-def alpha_from_shift(q: QParam, a: float) -> float:
-    """Inverse of :func:`shift_from_alpha`."""
-    if q.is_classical:
-        return -a
-    return -1.0 / (q.q - 1.0) - a
 
 
 def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
@@ -270,24 +264,17 @@ def _stationarity(q: QParam, energies: Spectrum, beta: float, dist: Distribution
     probs = dist.as_array()
     if (probs <= 0.0).any():
         raise DomainError("stationarity gradient requires strictly positive probabilities")
-    if q.is_classical:
-        alpha = -1.0 - a0
-        grad = -np.log(probs) - 1.0
-    else:
-        alpha = alpha_from_shift(q, a0)
-        grad = -np.power(probs, q.q - 1.0) / (q.q - 1.0)
-    gradient = grad - alpha - beta * energies.as_array()
-    return float(np.abs(gradient).max())
+    values = _deformed_log(probs, q.q - 1.0) + a0
+    return float(np.abs(values - beta * energies.as_array()).max())
 
 
 def stationarity_residual(q: QParam, energies: Spectrum, beta: float) -> float:
     """Max-norm of the Lagrangian gradient at the :func:`maxent_distribution` solution.
 
-    The gradient of the measure is -p_i^(q-1)/(q-1) (classically
-    -ln p_i - 1), and the normalization multiplier is reconstructed from
-    the solved shift; the classical multiplier absorbs an extra unit
-    relative to the log-normalizer convention.  Requires every
-    probability to be strictly positive.
+    With the normalization multiplier taken from the solved shift a0, the
+    gradient is x_i - beta eps_i, where x_i = a0 - expm1((q-1) ln p_i)/(q-1)
+    recovers the value of p_i through the deformed logarithm.  Requires
+    every probability to be strictly positive.
     """
     dist, solution = maxent_distribution(q, energies, beta)
     return _stationarity(q, energies, beta, dist, solution.a0)

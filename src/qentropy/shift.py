@@ -53,13 +53,10 @@ class FeasibilityReport:
     """Existence test for the q > 1 root.
 
     ``endpoint_value`` is the exact limit of f at the lower domain
-    endpoint; ``sufficient_bound`` is the cruder sufficient bound
-    W[(q-1)(x_max - x_min)]^(1/(q-1)) which always dominates it.  A root
-    exists iff endpoint_value <= 1.
+    endpoint.  A root exists iff endpoint_value <= 1.
     """
 
     endpoint_value: float
-    sufficient_bound: float
     feasible: bool
 
 
@@ -101,20 +98,13 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
     """Report whether a normalizing shift exists.
 
     Trivially feasible for q <= 1 (f sweeps (0, inf)); for q > 1 the
-    exact endpoint sum decides, and the cruder W-times-max-term bound is
-    reported alongside it.  Either sum is inf where it overflows.
+    exact endpoint sum decides.  It is inf where it overflows.
     """
     if not q.is_super_unit:
-        return FeasibilityReport(endpoint_value=0.0, sufficient_bound=0.0, feasible=True)
-    qm1 = q.q - 1.0
+        return FeasibilityReport(endpoint_value=0.0, feasible=True)
     with np.errstate(**_KERNEL_ERRORS):
-        endpoint_value = _endpoint_sum(spectrum.as_array(), spectrum.x_max, qm1)
-        max_term = np.power(qm1 * (spectrum.x_max - spectrum.x_min), 1.0 / qm1)
-    return FeasibilityReport(
-        endpoint_value=endpoint_value,
-        sufficient_bound=float(spectrum.W * max_term),
-        feasible=endpoint_value <= 1.0,
-    )
+        endpoint_value = _endpoint_sum(spectrum.as_array(), spectrum.x_max, q.q - 1.0)
+    return FeasibilityReport(endpoint_value=endpoint_value, feasible=endpoint_value <= 1.0)
 
 
 def _endpoint_sum(x: np.ndarray, x_max: float, qm1: float) -> float:

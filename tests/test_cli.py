@@ -54,8 +54,7 @@ class TestShiftCommand:
         assert out.count("\n") == 1  # exactly one report
         report = json.loads(out)
         assert report["status"] == "infeasible"
-        assert report["results"]["feasibility"] == {
-            "endpoint_value": None, "sufficient_bound": None, "feasible": False}
+        assert report["results"]["feasibility"] == {"endpoint_value": None, "feasible": False}
 
     def test_classical(self, capsys, spectrum_file):
         path = spectrum_file([0, 1])

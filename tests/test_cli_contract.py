@@ -180,6 +180,15 @@ def test_large_index_gives_one_report(capsys, spectrum_file, argv, values):
     assert_contract(code, lines, err, 2)
 
 
+def test_stationarity_holds_within_1e_8_of_q_one(capsys, spectrum_file):
+    # (1 - p^(q-1))/(q-1) cancelled here to a gradient of 1.19e-8, an error report
+    values = spectrum_file([k / 10 for k in range(10)])
+    code, lines, err = run_in_process(capsys, ["maxent", values, "--q", "1.00000001",
+                                               "--beta", "2"])
+    report = assert_contract(code, lines, err, 0)
+    assert report["results"]["stationarity_residual"] <= 1e-8
+
+
 def test_failure_contract_in_a_process():
     # a non-finite result, through the module entry point
     code, lines, err = run_process(["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])

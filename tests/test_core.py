@@ -1,4 +1,4 @@
-"""Tests for the scalar primitives and value types."""
+"""Tests for the value types and the deformed exponential and logarithm kernels."""
 
 import math
 
@@ -11,17 +11,14 @@ from qentropy import (
     Distribution,
     DomainError,
     EmptyError,
-    Mode,
     NormalizationError,
     QParam,
-    QRegime,
     RangeError,
     Spectrum,
-    inverse_q_factor,
-    q_factor,
-    validate_distribution,
+    varentropy_residual,
 )
-from qentropy.core import NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp
+from qentropy.core import NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp, _deformed_log
+from qentropy.maxent import _stationarity
 
 # q values away from the removable q = 1 point, plus the exact classical case
 q_values = st.one_of(
@@ -31,11 +28,23 @@ q_values = st.one_of(
 )
 
 
+def q_factor(x: float, q: QParam, cutoff: bool = False) -> float:
+    """The deformed exponential [1 - (q-1) x]^(1/(q-1)) at one x, through the array kernel."""
+    with np.errstate(**_KERNEL_ERRORS):
+        return float(_deformed_exp(np.array([float(x)]), q.q - 1.0, cutoff=cutoff)[0])
+
+
+def inverse_q_factor(p: float, q: QParam, a: float = 0.0) -> float:
+    """x with p = q_factor(x - a, q), through the deformed logarithm."""
+    return float(_deformed_log(np.array([float(p)]), q.q - 1.0)[0]) + a
+
+
 class TestQParam:
     def test_classification_is_exact(self):
-        assert QParam(1.0).regime is QRegime.CLASSICAL
-        assert QParam(1.0 - 1e-15).regime is QRegime.SUB_UNIT
-        assert QParam(1.0 + 1e-15).regime is QRegime.SUPER_UNIT
+        assert QParam(1.0).is_classical
+        below, above = QParam(1.0 - 1e-15), QParam(1.0 + 1e-15)
+        assert below.is_sub_unit and not (below.is_classical or below.is_super_unit)
+        assert above.is_super_unit and not (above.is_classical or above.is_sub_unit)
         assert QParam(0.3).is_sub_unit
         assert QParam(2).is_super_unit
 
@@ -65,8 +74,9 @@ class TestSpectrum:
             Spectrum([0.0, math.inf])
 
     def test_scaled_and_shifted(self):
-        s = Spectrum([0.0, 1.0]).scaled(2.0).shifted(-1.0)
-        assert s.values == (-1.0, 1.0)
+        s = Spectrum([0.0, 1.0]).scaled(2.0)
+        assert s.values == (0.0, 2.0)
+        assert Spectrum(np.add(s.values, -1.0)).values == (-1.0, 1.0)
 
 
 class TestQFactor:
@@ -80,8 +90,8 @@ class TestQFactor:
 
     def test_negative_base_policies(self):
         with pytest.raises(DomainError):
-            q_factor(1.5, QParam(2), Mode.STRICT)
-        assert q_factor(1.5, QParam(2), Mode.CUTOFF) == 0.0
+            q_factor(1.5, QParam(2))
+        assert q_factor(1.5, QParam(2), cutoff=True) == 0.0
 
     def test_classical_is_exp(self):
         assert q_factor(0.25, QParam(1)) == math.exp(-0.25)
@@ -162,10 +172,11 @@ class TestInverseQFactor:
         assert inverse_q_factor(0.5, QParam(1)) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_rejects_nonpositive(self):
+        # the callers that invert a distribution require every p_i > 0
         with pytest.raises(DomainError):
-            inverse_q_factor(0.0, QParam(2))
-        with pytest.raises(DomainError):
-            inverse_q_factor(-0.1, QParam(0.5))
+            _stationarity(QParam(2), Spectrum([0.0, 1.0]), 1.0, Distribution([1.0, 0.0]), 0.0)
+        with pytest.raises(DomainError):  # p = (1, 0) at q = 2
+            varentropy_residual(Spectrum([0.0, 1.0]), QParam(2), [0.5, -0.5], 1e-3)
 
     @given(
         q=q_values,
@@ -185,28 +196,51 @@ class TestInverseQFactor:
         assert q_factor(recovered - a, qp) == pytest.approx(p, rel=1e-12, abs=1e-300)
 
 
+class TestDeformedLog:
+    """The array inverse of the kernel, which must not cancel as q -> 1."""
+
+    @pytest.mark.parametrize("gap", [1e-12, -1e-12, 1e-9, -1e-9, 1e-5, -1e-5])
+    def test_matches_its_series_near_q_one(self, gap):
+        # -expm1(y) / (q-1) = -ln p (1 + y/2 + y^2/6 + ...) at y = (q-1) ln p; with
+        # |y| < 3e-4 here, the terms after y^4/120 lie far below an ulp
+        qm1 = QParam(1.0 + gap).q - 1.0
+        p = np.geomspace(1e-12, 1.0, 5001)
+        log_p = np.log(p)
+        y = qm1 * log_p
+        series = -log_p * (1.0 + y * (1 / 2 + y * (1 / 6 + y * (1 / 24 + y / 120))))
+        assert np.all(np.abs(_deformed_log(p, qm1) - series) <= 4 * np.spacing(np.abs(series)))
+
+    def test_classical_is_minus_log(self):
+        p = np.geomspace(1e-300, 1.0, 101)
+        assert np.array_equal(_deformed_log(p, 0.0), -np.log(p))
+
+    def test_half_is_log_two_near_q_one(self):
+        # (1 - p^(q-1))/(q-1) misses ln 2 by 1.4e-5 here
+        assert inverse_q_factor(0.5, QParam(1 + 1e-12)) == pytest.approx(math.log(2), rel=1e-15)
+
+
 class TestValidateDistribution:
     def test_valid(self):
-        d = validate_distribution([0.5, 0.5])
+        d = Distribution([0.5, 0.5])
         assert d.probs == (0.5, 0.5)
         assert d.W == 2
 
     def test_degenerate_single_state(self):
-        assert validate_distribution([1.0]).probs == (1.0,)
+        assert Distribution([1.0]).probs == (1.0,)
 
     def test_normalization_error(self):
         with pytest.raises(NormalizationError):
-            validate_distribution([0.6, 0.6])
+            Distribution([0.6, 0.6])
 
     def test_range_error(self):
         with pytest.raises(RangeError):
-            validate_distribution([1.2, -0.2])
+            Distribution([1.2, -0.2])
         with pytest.raises(RangeError):
-            validate_distribution([math.nan, 1.0])
+            Distribution([math.nan, 1.0])
 
     def test_empty_error(self):
         with pytest.raises(EmptyError):
-            validate_distribution([])
+            Distribution([])
 
     def test_stored_unrenormalized(self):
         probs = (0.5 + 1e-10, 0.5)

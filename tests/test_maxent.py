@@ -19,7 +19,6 @@ from qentropy import (
     QParam,
     RangeError,
     Spectrum,
-    alpha_from_shift,
     escort_distribution,
     lagrange_distribution,
     maxent_distribution,
@@ -82,9 +81,10 @@ def count_kernel_passes(monkeypatch) -> list:
 
 class TestMultiplierConversion:
     def test_round_trip(self):
+        # the map is its own inverse: it also gives alpha from a shift
         for q in (0.3, 1.0, 2.4):
             qp = QParam(q)
-            assert shift_from_alpha(qp, alpha_from_shift(qp, -0.7)) == pytest.approx(-0.7, abs=1e-15)
+            assert shift_from_alpha(qp, shift_from_alpha(qp, -0.7)) == pytest.approx(-0.7, abs=1e-15)
 
     def test_classical_log_normalizer(self):
         assert shift_from_alpha(QParam(1), 1.25) == -1.25
@@ -93,7 +93,7 @@ class TestMultiplierConversion:
 class TestLagrangeDistribution:
     def test_pair_at_q2(self):
         # alpha chosen so the embedded shift is -0.3
-        alpha = alpha_from_shift(QParam(2), -0.3)
+        alpha = shift_from_alpha(QParam(2), -0.3)
         params = LagrangeParams(alpha=alpha, beta=1.0, energies=PAIR)
         dist = lagrange_distribution(QParam(2), params)
         np.testing.assert_allclose(dist.as_array(), [0.7, 0.3], rtol=0, atol=1e-12)
@@ -109,7 +109,7 @@ class TestLagrangeDistribution:
         energies = Spectrum([0.3, 0.3, 0.3])
         qp = QParam(1.6)
         _, solution = shifted_distribution(energies, qp)
-        params = LagrangeParams(alpha=alpha_from_shift(qp, solution.a0), beta=1.0, energies=energies)
+        params = LagrangeParams(alpha=shift_from_alpha(qp, solution.a0), beta=1.0, energies=energies)
         dist = lagrange_distribution(qp, params)
         np.testing.assert_allclose(dist.as_array(), 1.0 / 3.0, rtol=0, atol=1e-12)
 
@@ -121,7 +121,7 @@ class TestLagrangeDistribution:
             beta = float(rng.uniform(-2, 2))
             dist, solution = maxent_distribution(qp, energies, beta)
             params = LagrangeParams(
-                alpha=alpha_from_shift(qp, solution.a0), beta=beta, energies=energies
+                alpha=shift_from_alpha(qp, solution.a0), beta=beta, energies=energies
             )
             reconstructed = lagrange_distribution(qp, params)
             np.testing.assert_allclose(
@@ -130,7 +130,7 @@ class TestLagrangeDistribution:
 
     def test_inconsistent_alpha_rejected(self):
         # embedded shift -0.5 keeps every base positive but sums p to 0.6
-        params = LagrangeParams(alpha=alpha_from_shift(QParam(2), -0.5), beta=1.0, energies=PAIR)
+        params = LagrangeParams(alpha=shift_from_alpha(QParam(2), -0.5), beta=1.0, energies=PAIR)
         with pytest.raises(NormalizationError):
             lagrange_distribution(QParam(2), params)
 
@@ -397,6 +397,10 @@ class TestStationarity:
         assert stationarity_residual(QParam(2), PAIR, 1.0) <= 1e-10
         assert stationarity_residual(QParam(1), UNIT, 1.0) <= 1e-10
         assert stationarity_residual(QParam(1.5), Spectrum([0.2, 0.2, 0.2]), 0.7) <= 1e-10
+
+    def test_holds_within_1e_8_of_q_one(self):
+        # the gradient recovers x_i from p_i without cancelling as q -> 1
+        assert stationarity_residual(QParam(1 + 1e-8), Spectrum(np.arange(10) / 10), 2.0) <= 1e-8
 
     def test_randomized_instances(self):
         rng = np.random.default_rng(43)

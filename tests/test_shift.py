@@ -116,7 +116,6 @@ class TestFeasibility:
     def test_pair_feasible(self):
         rep = feasibility(PAIR, QParam(2))
         assert rep.endpoint_value == pytest.approx(0.4, abs=1e-15)
-        assert rep.sufficient_bound == pytest.approx(0.8, abs=1e-15)
         assert rep.feasible
 
     def test_wide_pair_infeasible(self):
@@ -138,15 +137,7 @@ class TestFeasibility:
     def test_overflowing_sums_are_infinite_and_infeasible(self):
         rep = feasibility(Spectrum([0.0, 1e300]), QParam(1.5))
         assert rep.endpoint_value == math.inf
-        assert rep.sufficient_bound == math.inf
         assert not rep.feasible
-
-    def test_bound_dominates_exact_value(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            values = rng.uniform(0, 1, rng.integers(1, 64)).tolist()
-            rep = feasibility(Spectrum(values), QParam(rng.uniform(1.001, 3.0)))
-            assert rep.endpoint_value <= rep.sufficient_bound
 
 
 class TestSolveShift:
@@ -215,7 +206,7 @@ class TestSolveShift:
             q = QParam(float(rng.uniform(0.1, 0.9)))
             offset = float(rng.uniform(-5, 5))
             base_dist, base_sol = shifted_distribution(Spectrum(values), q)
-            moved_dist, moved_sol = shifted_distribution(Spectrum(values).shifted(offset), q)
+            moved_dist, moved_sol = shifted_distribution(Spectrum(np.add(values, offset)), q)
             assert moved_sol.a0 == pytest.approx(base_sol.a0 + offset, abs=1e-10)
             np.testing.assert_allclose(
                 moved_dist.as_array(), base_dist.as_array(), rtol=0, atol=1e-12
