@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_exp
+from .core import Distribution, QParam, Spectrum, _deformed_exp, _deformed_log
 from .entropy import (
     SweepTable,
     bg_entropy,
@@ -302,10 +302,19 @@ def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:
     spectrum = load_spectrum(args.spectrum)
     qp = QParam(args.q)
     report["inputs"]["values"] = spectrum.as_array().tolist()
-    beta = args.beta if args.beta is not None else solve_beta(qp, spectrum, args.target_u)[0]
-    dist, solution = maxent_distribution(qp, spectrum, beta)
+    if args.beta is not None:
+        beta = args.beta
+        dist, solution = maxent_distribution(qp, spectrum, beta)
+        a0, residual = solution.a0, solution.residual
+    else:
+        # solve_beta's own p, with a0 recovered at its largest probability
+        beta, dist = solve_beta(qp, spectrum, args.target_u)
+        p = dist.as_array()
+        k = int(np.argmax(p))
+        a0 = float(beta * spectrum.as_array()[k] - _deformed_log(p[k:k + 1], qp.q - 1.0)[0])
+        residual = float(np.add.reduce(p)) - 1.0
     try:
-        stationarity = _stationarity(qp, spectrum, beta, dist, solution.a0)
+        stationarity = _stationarity(qp, spectrum, beta, dist, a0)
     except DomainError:
         stationarity = None  # a boundary probability of exactly 0
     achieved = mean_energy(dist, spectrum)
@@ -313,11 +322,11 @@ def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:
         "p": dist.as_array().tolist(),
         "beta": beta,
         "achieved_u": achieved,
-        "a0": solution.a0,
-        "residual": solution.residual,
+        "a0": a0,
+        "residual": residual,
         "stationarity_residual": stationarity,
     }
-    checks = [("shift residual", solution.residual, RESIDUAL_BOUND)]
+    checks = [("shift residual", residual, RESIDUAL_BOUND)]
     if args.target_u is not None:
         checks.append(("achieved energy", achieved - args.target_u, 1e-9))
     if stationarity is not None:
@@ -399,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_shift = sub.add_parser("shift", help="solve the normalizing shift for a spectrum")
     p_shift.add_argument("spectrum", help="path to a JSON spectrum file")
     p_shift.add_argument("--q", type=_finite_float, required=True, help="deformation index (> 0)")
-    p_shift.add_argument("--tol", type=_finite_float, default=1e-12, help="solver tolerance")
+    p_shift.add_argument("--tol", type=_finite_float, default=1e-12,
+                         help="solver tolerance on |f(a0) - 1|, raised to 2^-53/|q - 1| "
+                              "(at most 2.5e-11) where that is larger")
     p_shift.add_argument("--no-closed-form", action="store_true",
                          help="force the generic bracketed solve")
     p_shift.set_defaults(handler=_cmd_shift)

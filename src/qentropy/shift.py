@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _slope
-from .errors import ConvergenceError, InfeasibleError, SingularityError
+from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
 RESIDUAL_BOUND = 1e-10
@@ -83,15 +83,28 @@ def partition_value(a: float, spectrum: Spectrum, q: QParam) -> float:
 def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
     """f'(a) = sum_i [1 - (q-1)(x_i - a)]^(1/(q-1) - 1); always positive.
 
-    When the exponent 1/(q-1) - 1 is negative (q < 1 or q > 2) the
-    derivative is singular at a base of exactly zero, which raises
-    :class:`SingularityError`.
+    Each term is one power of its base, so it is finite wherever its value
+    is, also where p_i itself overflows.  Where the base overflows, the 1
+    in it lies below its rounding, and the term is exp(e ln|(q-1)(x_i - a)|)
+    for the exponent e = (2-q)/(q-1).  When e is negative (q < 1 or
+    q > 2) the derivative is singular at a base of exactly zero, which
+    raises :class:`SingularityError`.
     """
+    qm1, z = q.q - 1.0, np.subtract(spectrum.as_array(), a)
     with np.errstate(**_KERNEL_ERRORS):
-        _, slope = _deformed_exp(spectrum.as_array() - a, q.q - 1.0, slope=True)
+        if qm1 == 0.0:
+            return float(np.add.reduce(np.exp(np.negative(z, out=z), out=z)))
+        base = z * -qm1
+        base += 1.0  # the kernel's base, bit for bit
+        if np.minimum.reduce(base) < 0.0:
+            raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
+        huge, e = np.isinf(base), (1.0 - qm1) / qm1
+        slope = np.power(base, e, out=base)
+        if huge.any():
+            slope[huge] = np.exp(e * (math.log(abs(qm1)) + np.log(np.abs(z[huge]))))
     if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
         raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
-    return float(slope.sum())
+    return float(np.add.reduce(slope))
 
 
 def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
@@ -121,9 +134,11 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
     moves each evaluated point onto the matching end of the bracket.
     The next point is the Newton step when it lands strictly inside the
     bracket, and the midpoint otherwise.  It stops once |g| <= tol,
-    after ``max_iter`` evaluations, or when no float is left between
-    the ends.  Returns (x, g(x), (lo, hi), evaluations) for the
-    evaluated x of smallest |g|.
+    after ``max_iter`` evaluations, when no float is left between the
+    ends, or when a Newton step with a finite, positive slope rounds
+    back to x: the root then lies within half an ulp of x, where
+    bisecting the bracket down would only end again.  Returns
+    (x, g(x), (lo, hi), evaluations) for the evaluated x of smallest |g|.
     """
     best, evaluations = (x, math.inf), 0
     for evaluations in range(1, max_iter + 1):
@@ -136,7 +151,9 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
             lo = x
         else:
             hi = x
-        step = x - g / dg if dg > 0.0 else math.nan
+        step = x - g / dg if 0.0 < dg < math.inf else math.nan
+        if step == x:
+            break
         if lo < step < hi:
             x = step
         else:
@@ -185,15 +202,21 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
     ``work`` is the caller's workspace of :func:`_kernel_pass`, and the
     caller owns numpy's error state.  The Newton iteration runs on
     h = (f^(q-1) - 1)/(q-1) (log f at q = 1), which has the sign of f - 1
-    and is nearly linear in a; it stops once |h| <= ``tol``, which is
-    |f - 1| <= ``tol`` to within a relative O(tol), and a pass that does
-    not stop it also sums h' = f^(q-2) f'.  It begins at x_max - z_W and
-    takes at most ``_SHIFT_PASSES`` passes.  Returns (solution, p) with p
+    and is nearly linear in a; it stops once |h| <= max(``tol``, eps_q),
+    which is |f - 1| <= max(``tol``, eps_q) to within a relative O(tol),
+    and a pass that does not stop it also sums h' = f^(q-2) f'.  eps_q =
+    2^-53/|q - 1|, at most ``RESIDUAL_BOUND``/4 and 0 at q = 1, is the
+    rounding of one base 1 - (q-1)(x_i - a) carried through the power
+    1/(q-1): below it f - 1 is rounding noise, which no further pass
+    resolves.  It begins at x_max - z_W and takes at most
+    ``_SHIFT_PASSES`` passes.  Returns (solution, p) with p
     at ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
     iteration's best point came before its last pass, one more pass
     evaluates them there.  p lives in ``work``, so the next pass
     overwrites it.
     """
+    if qm1 != 0.0:  # eps_q
+        tol = max(tol, min(2.0**-53 / abs(qm1), 0.25 * RESIDUAL_BOUND))
     last = None  # (a, p, f - 1) of the latest pass
     ext = x_max if qm1 > 0.0 else x_min  # its base is the smallest, by the same float operations
 
@@ -288,11 +311,16 @@ def solve_shift(
     p_i^(q-1) is affine in a, so h is exactly linear for W = 1, for a
     flat spectrum and at q = 1, and nearly linear otherwise.  Its slope
     h' = f^(q-2) f' comes from the same kernel pass as f, when it steps.
-    They stop once |h| <= ``tol``; as h = (f - 1)(1 + O(f - 1)), that is
-    |f - 1| <= ``tol`` to within a relative O(``tol``), which is what the
-    CLI's ``--tol`` sets.  ``iterations`` counts those kernel passes, and
-    ``residual`` is f(a0) - 1 itself.  numpy's overflow, division and
-    invalid-value errors are ignored throughout the solve.
+    They stop once |h| <= max(``tol``, eps_q); as h = (f - 1)(1 + O(f - 1)),
+    that is |f - 1| <= max(``tol``, eps_q) to within a relative O(``tol``).
+    ``tol`` is what the CLI's ``--tol`` sets, and eps_q = 2^-53/|q - 1|,
+    capped at ``RESIDUAL_BOUND``/4, is the rounding of one base carried
+    through the power 1/(q-1), the floor of f's rounding noise near q = 1;
+    it exceeds the default ``tol`` only for |q - 1| < 1.12e-4.  They also
+    stop once a Newton step rounds back to its own point, where the root
+    lies within half an ulp of it.  ``iterations`` counts those kernel
+    passes, and ``residual`` is f(a0) - 1 itself.  numpy's overflow,
+    division and invalid-value errors are ignored throughout the solve.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes

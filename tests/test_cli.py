@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qentropy import cli
+from qentropy import QParam, Spectrum, cli, maxent, shift
 
 
 @pytest.fixture
@@ -230,6 +231,27 @@ class TestMaxentCommand:
         assert code == 0
         assert report["results"]["beta"] == pytest.approx(1.0, abs=1e-6)
         assert report["results"]["achieved_u"] == pytest.approx(0.12, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 3.0])
+    def test_target_mode_reports_the_beta_solves_own_p(self, capsys, monkeypatch, spectrum_file, q):
+        values = [0.0, 0.1, 0.35, 0.5, 0.9]
+        beta, dist = maxent.solve_beta(QParam(q), Spectrum(values), 0.3)
+
+        def no_shift_solve(*args, **kwargs):
+            raise AssertionError("a second shift solve ran")
+
+        monkeypatch.setattr(cli, "maxent_distribution", no_shift_solve)
+        monkeypatch.setattr(shift, "_solve_root", no_shift_solve)
+        code, report = run(capsys, "maxent", spectrum_file(values), "--q", str(q),
+                           "--target-u", "0.3")
+        assert code == 0
+        results = report["results"]
+        assert results["beta"] == beta and results["p"] == list(dist.probs)
+        assert results["residual"] == float(np.add.reduce(dist.as_array())) - 1.0
+        monkeypatch.undo()
+        solved = shift.solve_shift(Spectrum(values).scaled(beta), QParam(q))
+        assert results["a0"] == pytest.approx(solved.a0, abs=1e-12)
+        assert results["stationarity_residual"] <= 1e-8
 
     def test_uniform_at_zero_beta(self, capsys, spectrum_file):
         path = spectrum_file([0, 1])

@@ -28,6 +28,19 @@ PAIR = Spectrum([0.0, 0.4])
 UNIT = Spectrum([0.0, 1.0])
 # ranges so wide that the largest probability is 1 to double precision
 HUGE_RANGES = [(Spectrum([0.0, 1e300]), QParam(0.5)), (Spectrum([0.0, 1e40]), QParam(0.5))]
+#: the spectra of the benchmark's small-spectra workload that fail at q = 1 - 1e-9
+FAILING_SLICE = [[0.0, 0.4], [0.0, 0.4, 1.3], [0.0, 0.25, 0.5, 1.0], [0.0, 0.1, 0.7, 0.9, 2.0],
+                 [0.3, 0.4], [0.0, 1.0, 2.0]]
+
+
+def recipe_spectrum(rng, q):
+    """The benchmark's small-spectra recipe: W log-uniform in [2, 256], span
+    log-uniform in [0.1, 5], and q > 1 spectra scaled to an endpoint sum of 0.25."""
+    w = int(math.exp(rng.uniform(math.log(2), math.log(257))))
+    x = rng.random(w) * math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
+    if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
+        x = x.min() + (x - x.min()) * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+    return Spectrum(x)
 
 
 class TestPartitionValue:
@@ -110,6 +123,18 @@ class TestPartitionDerivative:
         qp = QParam(1.5)
         endpoint = domain_interval(UNIT, qp)[0]
         assert partition_derivative(endpoint, UNIT, qp) > 0.0
+
+    @pytest.mark.parametrize("q, expected", [
+        (1.5, 5e307),  # p = base^2 overflows; the slope is the base itself
+        (1.9, math.exp(math.log(0.9e308) / 9.0)),
+        (2.5, math.exp(-math.log(1.5e308) / 3.0)),
+        (3.0, 2.0**-0.5 * 1e-154),  # the base 2e308 overflows too
+        (4.0, math.exp(-2.0 / 3.0 * (math.log(3.0) + math.log(1e308)))),
+    ], ids=["1.5", "1.9", "2.5", "3", "4"])
+    def test_finite_where_p_overflows(self, q, expected):
+        # f'(a) = [1 + (q-1) a]^((2-q)/(q-1)) on {0}; p/base was nan or inf here
+        assert partition_derivative(1e308, Spectrum([0.0]), QParam(q)) == pytest.approx(
+            expected, rel=1e-13)
 
 
 class TestFeasibility:
@@ -247,23 +272,64 @@ class TestSolveShift:
         return passes
 
     def test_kernel_pass_count_over_seeded_spectra(self, monkeypatch):
-        # the benchmark's small-spectra recipe: W log-uniform in [2, 256], span
-        # log-uniform in [0.1, 5], and q > 1 spectra scaled to an endpoint sum of 0.25
         rng = np.random.default_rng(59)
-        cases = []
-        for q in (0.3, 0.5, 0.8, 1.0 + 1e-5, 1.0 - 1e-5, 1.5, 2.5, 3.0):
-            for _ in range(50):
-                w = int(math.exp(rng.uniform(math.log(2), math.log(257))))
-                x = rng.random(w) * math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
-                if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
-                    x = x.min() + (x - x.min()) * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
-                cases.append((Spectrum(x), QParam(q)))
+        cases = [(recipe_spectrum(rng, q), QParam(q))
+                 for q in (0.3, 0.5, 0.8, 1.0 + 1e-5, 1.0 - 1e-5, 1.5, 2.5, 3.0) for _ in range(50)]
         passes = self._count_passes(monkeypatch)
         for spectrum, q in cases:
             _, solution = shifted_distribution(spectrum, q)
             assert abs(solution.residual) <= 1e-10
-        # 1682 passes measured; Newton steps on f itself took 2401 here
-        assert len(passes) <= 1682
+        # 1225 passes measured; 1682 without the ulp and rounding-floor stops,
+        # and Newton steps on f itself took 2401 here
+        assert len(passes) <= 1225
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-5, 1.0 - 1e-5])
+    def test_near_one_stops_at_the_rounding_floor(self, monkeypatch, q):
+        # f - 1 is a rounding staircase a few 1e-12 high here, which the default
+        # tol of 1e-12 alone would bisect through to float exhaustion
+        rng = np.random.default_rng(83)
+        floor = max(1e-12, 2.0**-53 / abs(q - 1.0))
+        passes = self._count_passes(monkeypatch)
+        for _ in range(150):
+            spectrum = recipe_spectrum(rng, q)
+            passes.clear()
+            _, solution = shifted_distribution(spectrum, QParam(q))
+            assert len(passes) <= 4
+            assert abs(solution.residual) <= floor
+
+    def test_newton_step_below_one_ulp_stops(self, monkeypatch):
+        # the third pass finds the root to within half an ulp of a; bisecting the
+        # bracket down to that float again took 23 passes
+        x = np.random.default_rng(0).random(200)
+        spectrum = Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2)
+        passes = self._count_passes(monkeypatch)
+        solution = solve_shift(spectrum, QParam(3.0))
+        assert len(passes) <= 4
+        assert solution.a0 == float.fromhex("-0x1.fffc7075aa18fp-2")
+
+    def test_which_inputs_solve_at_extreme_q(self):
+        # which recipe inputs meet the bound and which raise ConvergenceError: a stop
+        # that ends a solve early may shorten a failure, never change the outcome
+        failing = {
+            1.0 - 1e-7: [1, 5, 10, 14, 19, 26, 36],
+            1.0 + 1e-7: [1, 5, 8, 26, 36, 38],
+            4.0: [32, 39],
+            5.0: [2, 12, 17, 21, 23, 25, 28, 32, 33, 34, 37, 39],
+            10.0: [0, 2, 3, 4, 6, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 22, 23, 24, 25, 27, 28,
+                   29, 30, 31, 32, 33, 34, 35, 37, 39],
+        }
+        for q, expected in failing.items():
+            rng = np.random.default_rng(61)
+            failed = []
+            for i in range(40):
+                spectrum = recipe_spectrum(rng, q)
+                try:
+                    _, solution = shifted_distribution(spectrum, QParam(q))
+                except ConvergenceError:
+                    failed.append(i)
+                    continue
+                assert abs(solution.residual) <= shift.RESIDUAL_BOUND
+            assert failed == expected, q
 
     @pytest.mark.parametrize("w", [2, 10, 256])
     def test_classical_generic_path_is_one_newton_step(self, monkeypatch, w):
@@ -332,6 +398,9 @@ class TestSolveShift:
                         scale = (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
                         x = x.min() + (x - x.min()) * scale
                     cases.append((Spectrum(x), QParam(q)))
+        # within 1e-9 of q = 1 these bisect through f's rounding noise to the last float
+        cases += [(Spectrum(values), QParam(q)) for q in (1.0 - 1e-9, 1.0 + 1e-9)
+                  for values in FAILING_SLICE]
         seen = self._spy_lowest(monkeypatch)
         for spectrum, q in cases:
             try:
@@ -348,8 +417,11 @@ class TestSolveShift:
         cases = [(Spectrum(x), 0.5, True), (Spectrum(x), 1.0, True), (Spectrum(x), 1.0, False),
                  (Spectrum(x * 1e-4), 2.0, True), (Spectrum([0.0, 1.0]), 2.0, False),
                  (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2), 3.0, False),
-                 # 16 passes, then ConvergenceError: f cannot resolve its root in doubles
+                 # ConvergenceError: f cannot resolve its root in doubles, and a Newton
+                 # step rounds back to its point on the second pass
                  (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 5.0)) ** 4), 5.0, False),
+                 # 33 passes through f's rounding noise, then ConvergenceError
+                 (Spectrum([0.0, 0.4, 1.3]), 1.0 - 1e-9, False),
                  (Spectrum([-1e308, 1e308]), 0.5, False)]
         made, errstate = [], np.errstate
 
@@ -368,7 +440,7 @@ class TestSolveShift:
                 try:
                     solve()
                 except ConvergenceError:
-                    assert q == 5.0
+                    assert q in (5.0, 1.0 - 1e-9)
                 assert made == [{"over": "ignore", "divide": "ignore", "invalid": "ignore"}]
                 most = max(most, len(passes))
         assert most >= 16
@@ -469,11 +541,9 @@ class TestShiftedDistribution:
             x = rng.random(int(rng.integers(2, 200)))
             cases.append((Spectrum(x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
                                    if q > 1.0 else x), q))
-        # at q = 3 this solve's best point comes before its last pass, so the
-        # solve itself takes one more pass at a0
-        x = np.random.default_rng(0).random(200)
-        early = Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2)
-        cases.append((early, 3.0))
+        # at q = 1 - 1e-7 this solve bisects through f's rounding noise, and its best
+        # point comes before its last pass, so the solve itself takes one more pass at a0
+        cases.append((Spectrum(np.random.default_rng(1).random(10)), 1.0 - 1e-7))
         passes = 0
         kernel = shift._deformed_exp
 
