@@ -49,7 +49,7 @@ from .shift import (
     RESIDUAL_BOUND,
     domain_interval,
     feasibility,
-    partition_value,  # noqa: F401  (looked up here by the benchmark's tracer)
+    partition_value,
     shifted_distribution,
     solve_shift,
 )
@@ -307,12 +307,18 @@ def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:
         dist, solution = maxent_distribution(qp, spectrum, beta)
         a0, residual = solution.a0, solution.residual
     else:
-        # solve_beta's own p, with a0 recovered at its largest probability
+        # solve_beta's own p, with a0 recovered at its largest probability and its
+        # residual f(a0) - 1 from one kernel pass.  Where rounding leaves that above
+        # the bound (f's noise near q = 1, or p^(q-1) underflowing), a shift solve
+        # looks for an a0 that meets it, and raises when none does
         beta, dist = solve_beta(qp, spectrum, args.target_u)
-        p = dist.as_array()
+        p, scaled = dist.as_array(), spectrum.scaled(beta)
         k = int(np.argmax(p))
         a0 = float(beta * spectrum.as_array()[k] - _deformed_log(p[k:k + 1], qp.q - 1.0)[0])
-        residual = float(np.add.reduce(p)) - 1.0
+        residual = partition_value(a0, scaled, qp) - 1.0
+        if not abs(residual) <= RESIDUAL_BOUND:
+            solution = solve_shift(scaled, qp)
+            a0, residual = solution.a0, solution.residual
     try:
         stationarity = _stationarity(qp, spectrum, beta, dist, a0)
     except DomainError:

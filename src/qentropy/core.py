@@ -149,23 +149,20 @@ class Distribution(_FrozenVector):
     probs = property(lambda self: self._tuple)  # built on first access, then cached
 
 
-def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False, out=None,
-                  lowest: float | None = None):
+def _deformed_exp(z, qm1: float, cutoff: bool = False, out=None, lowest: float | None = None):
     """The deformed exponential [1 - (q-1) z_i]^(1/(q-1)) of a float array z.
 
-    ``qm1`` is q - 1; at 0 this is exp(-z_i).  With ``slope`` it returns
-    the pair (p, p^(2-q)) of :func:`_slope`.  A negative base raises
+    ``qm1`` is q - 1; at 0 this is exp(-z_i).  A negative base raises
     :class:`DomainError`, or evaluates to 0 under ``cutoff``.  ``lowest``,
     the smallest base where the caller knows it, saves a pass.
 
     The base 1 - qm1 z (-z at q = 1) is left in ``z``, and p goes into
-    ``out`` (when None over z, or with ``slope`` a new array).  The caller
+    ``out`` (over z when None), so :func:`_slope` can follow.  The caller
     owns numpy's error state, which must be ``np.errstate(**_KERNEL_ERRORS)``.
     """
-    out = z if out is None and not slope else out
+    out = z if out is None else out
     if qm1 == 0.0:
-        p = np.exp(np.negative(z, out=z), out=out)
-        return (p, p) if slope else p
+        return np.exp(np.negative(z, out=z), out=out)
     z *= -qm1
     z += 1.0  # the base 1 - qm1 z, bit for bit
     if lowest is None:
@@ -177,7 +174,7 @@ def _deformed_exp(z, qm1: float, slope: bool = False, cutoff: bool = False, out=
     p = np.power(z, 1.0 / qm1, out=out)
     if zero is not None:
         p[zero] = 0.0
-    return (p, _slope(p, z, qm1, lowest)) if slope else p
+    return p
 
 
 def _slope(p, base, qm1: float, lowest: float):

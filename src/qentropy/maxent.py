@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _deformed_log
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _deformed_log,
+                   _slope)
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -144,8 +145,8 @@ class _Chart:
     def __call__(self, s: float):
         """(u, u^(2-q), sum u) at s; the next pass overwrites both arrays."""
         lowest = (self.d_max * s) * -self.qm1 + 1.0 if self.qm1 > 0.0 else 1.0  # 1 at d = 0
-        u, w = _deformed_exp(np.multiply(self.d, s, out=self.z), self.qm1, True, True, self.u,
-                             lowest)
+        u = _deformed_exp(np.multiply(self.d, s, out=self.z), self.qm1, True, self.u, lowest)
+        w = _slope(u, self.z, self.qm1, lowest)
         self.s, self.total = s, float(np.add.reduce(u))
         return u, w, self.total
 

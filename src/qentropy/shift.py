@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _slope
-from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
+from .errors import ConvergenceError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
 RESIDUAL_BOUND = 1e-10
@@ -86,25 +86,24 @@ def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
     Each term is one power of its base, so it is finite wherever its value
     is, also where p_i itself overflows.  Where the base overflows, the 1
     in it lies below its rounding, and the term is exp(e ln|(q-1)(x_i - a)|)
-    for the exponent e = (2-q)/(q-1).  When e is negative (q < 1 or
-    q > 2) the derivative is singular at a base of exactly zero, which
-    raises :class:`SingularityError`.
+    for the exponent e = (2-q)/(q-1).  The base comes from the kernel,
+    which raises :class:`DomainError` where it is negative.  When e is
+    negative (q < 1 or q > 2) the derivative is singular at a base of
+    exactly zero, which raises :class:`SingularityError`.
     """
-    qm1, z = q.q - 1.0, np.subtract(spectrum.as_array(), a)
+    qm1, x = q.q - 1.0, spectrum.as_array()
     with np.errstate(**_KERNEL_ERRORS):
+        base = np.subtract(x, a)
+        p = _deformed_exp(base, qm1, out=np.empty(x.size))  # leaves the base in base
         if qm1 == 0.0:
-            return float(np.add.reduce(np.exp(np.negative(z, out=z), out=z)))
-        base = z * -qm1
-        base += 1.0  # the kernel's base, bit for bit
-        if np.minimum.reduce(base) < 0.0:
-            raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
+            return float(np.add.reduce(p))
         huge, e = np.isinf(base), (1.0 - qm1) / qm1
         slope = np.power(base, e, out=base)
         if huge.any():
-            slope[huge] = np.exp(e * (math.log(abs(qm1)) + np.log(np.abs(z[huge]))))
-    if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
-        raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
-    return float(np.add.reduce(slope))
+            slope[huge] = np.exp(e * (math.log(abs(qm1)) + np.log(np.abs(x[huge] - a))))
+        if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
+            raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
+        return float(np.add.reduce(slope))  # inf where the sum overflows
 
 
 def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
@@ -171,7 +170,7 @@ def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
     smallest base.  Bases a rounding error below zero at the q > 1
     endpoint count as 0.
     """
-    return _deformed_exp(np.subtract(x, a, work[0]), qm1, False, True, work[1], lowest)
+    return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, work[1], lowest)
 
 
 def _z(n: float, qm1: float) -> float:

@@ -3,10 +3,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from qentropy import QParam, Spectrum, cli, maxent, shift
+from qentropy import QParam, Spectrum, cli, core, maxent, shift
 
 
 @pytest.fixture
@@ -247,11 +246,30 @@ class TestMaxentCommand:
         assert code == 0
         results = report["results"]
         assert results["beta"] == beta and results["p"] == list(dist.probs)
-        assert results["residual"] == float(np.add.reduce(dist.as_array())) - 1.0
         monkeypatch.undo()
-        solved = shift.solve_shift(Spectrum(values).scaled(beta), QParam(q))
+        scaled = Spectrum(values).scaled(beta)
+        assert results["residual"] == shift.partition_value(results["a0"], scaled, QParam(q)) - 1.0
+        assert abs(results["residual"]) <= shift.RESIDUAL_BOUND
+        solved = shift.solve_shift(scaled, QParam(q))
         assert results["a0"] == pytest.approx(solved.a0, abs=1e-12)
         assert results["stationarity_residual"] <= 1e-8
+
+    def test_target_mode_falls_back_to_a_shift_solve(self, capsys, spectrum_file):
+        # at q = 1 - 1e-7 f rounds to within a few 1e-10, and the a0 recovered from
+        # p misses the bound there; a shift solve finds one that meets it
+        values, q = [0.512, 0.95, 0.144, 0.949, 0.312, 0.423], QParam(0.9999999)
+        beta, dist = maxent.solve_beta(q, Spectrum(values), 0.386)
+        p = dist.as_array()
+        k = int(p.argmax())
+        recovered = beta * values[k] - core._deformed_log(p[k:k + 1], q.q - 1.0)[0]
+        scaled = Spectrum(values).scaled(beta)
+        assert abs(shift.partition_value(recovered, scaled, q) - 1.0) > shift.RESIDUAL_BOUND
+        code, report = run(capsys, "maxent", spectrum_file(values), "--q", "0.9999999",
+                           "--target-u", "0.386")
+        assert code == 0
+        results, solved = report["results"], shift.solve_shift(scaled, q)
+        assert results["beta"] == beta and results["p"] == list(dist.probs)
+        assert results["a0"] == solved.a0 and results["residual"] == solved.residual
 
     def test_uniform_at_zero_beta(self, capsys, spectrum_file):
         path = spectrum_file([0, 1])

@@ -66,6 +66,13 @@ def beta_problems(rng, qs):
     return problems
 
 
+def seeded_spectra(seed, n=20):
+    """n spectra of 2-256 uniform values over a span drawn from [0.1, 5]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield Spectrum(rng.random(int(rng.integers(2, 257))) * rng.uniform(0.1, 5.0))
+
+
 def count_kernel_passes(monkeypatch) -> list:
     """A one-item list counting the _deformed_exp calls of every module that makes them."""
     passes, kernel = [0], core._deformed_exp
@@ -261,12 +268,12 @@ class TestSolveBeta:
     def test_chart_lowest_is_the_smallest_base_bit_for_bit(self, monkeypatch):
         seen, kernel = [], core._deformed_exp
 
-        def spied(z, qm1, slope=False, cutoff=False, out=None, lowest=None):
+        def spied(z, qm1, cutoff=False, out=None, lowest=None):
             if lowest is not None:  # a chart pass; the escort's map application finds its own
                 base = z * -qm1
                 base += 1.0
                 seen.append((lowest, np.minimum.reduce(base)))
-            return kernel(z, qm1, slope, cutoff, out, lowest)
+            return kernel(z, qm1, cutoff, out, lowest)
 
         monkeypatch.setattr(maxent, "_deformed_exp", spied)
         rng = np.random.default_rng(83)
@@ -391,6 +398,30 @@ class TestSolveBeta:
         with pytest.raises(BracketError):
             solve_beta(QParam(2), Spectrum([0.0, 0.5, 1.0]), 0.05)
 
+    def test_which_targets_solve_near_q_one(self):
+        # which targets meet _BETA_TOL and which raise ConvergenceError where U(s) rounds
+        # near its tolerance.  The beta solve runs the shift solve's bracketed Newton
+        # steps, so a stop rule made for the shift solve must not change these outcomes
+        failing = {
+            1.0 - 1e-9: [1, 2, 3, 4, 10, 18, 19, 20, 22, 24, 25, 26, 28, 30, 31, 34, 35, 37, 38,
+                         43, 46, 47, 49, 52, 55, 56, 58],
+            1.0 - 1e-8: [1, 25, 26, 28, 34, 35, 55, 56],
+            1.0 + 1e-8: [25, 34, 55],
+            1.0 + 1e-9: [1, 18, 23, 24, 25, 26, 28, 33, 34, 35, 37, 40, 48, 54, 56, 57, 58, 59],
+        }
+        for q, expected in failing.items():
+            failed = []
+            for i, energies in enumerate(seeded_spectra(62)):
+                for j, frac in enumerate((0.05, 0.45, 0.9)):
+                    target = energies.x_min + frac * (energies.x_max - energies.x_min)
+                    try:
+                        _, dist = solve_beta(QParam(q), energies, target)
+                    except ConvergenceError:
+                        failed.append(3 * i + j)
+                        continue
+                    assert abs(mean_energy(dist, energies) - target) <= 1e-10
+            assert failed == expected, q
+
 
 class TestStationarity:
     def test_examples_are_stationary(self):
@@ -447,6 +478,25 @@ class TestStationarity:
 
 
 class TestEscort:
+    def test_which_inputs_solve_near_q_tilde_one(self):
+        # as for the beta solve: the escort root runs the same bracketed Newton steps,
+        # here where the map residual rounds near its bound
+        failing = {
+            1.0 - 1e-7: [11, 14, 30, 31, 32, 33, 34, 35, 42, 44],
+            1.0 + 1e-7: [18, 20, 27, 29, 30, 32, 33, 34, 35, 38, 42, 44],
+        }
+        for q_tilde, expected in failing.items():
+            failed = []
+            for i, energies in enumerate(seeded_spectra(63)):
+                for j, beta in enumerate((-2.0, 0.5, 4.0)):
+                    try:
+                        solution = escort_distribution(q_tilde, energies, beta)
+                    except ConvergenceError:
+                        failed.append(3 * i + j)
+                        continue
+                    assert solution.residual <= 1e-10
+            assert failed == expected, q_tilde
+
     def test_flat_energies_converge_immediately(self):
         solution = escort_distribution(0.7, Spectrum([0.3, 0.3, 0.3]), 2.0)
         np.testing.assert_allclose(solution.p.as_array(), 1.0 / 3.0, rtol=0, atol=1e-15)

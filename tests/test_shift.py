@@ -136,6 +136,11 @@ class TestPartitionDerivative:
         assert partition_derivative(1e308, Spectrum([0.0]), QParam(q)) == pytest.approx(
             expected, rel=1e-13)
 
+    def test_an_overflowing_sum_is_inf_without_a_warning(self):
+        # each term, 5e307, is finite; their sum overflowed outside the kernel's error
+        # state, and the test configuration makes that RuntimeWarning an error
+        assert partition_derivative(1e308, Spectrum([0.0] * 4), QParam(1.5)) == math.inf
+
 
 class TestFeasibility:
     def test_pair_feasible(self):
@@ -378,11 +383,11 @@ class TestSolveShift:
         """A list of (lowest, np.minimum.reduce(base)) pairs, one per later kernel pass."""
         seen, kernel = [], shift._deformed_exp
 
-        def spied(z, qm1, slope=False, cutoff=False, out=None, lowest=None):
+        def spied(z, qm1, cutoff=False, out=None, lowest=None):
             base = z * -qm1
             base += 1.0
             seen.append((lowest, np.minimum.reduce(base)))
-            return kernel(z, qm1, slope, cutoff, out, lowest)
+            return kernel(z, qm1, cutoff, out, lowest)
 
         monkeypatch.setattr(shift, "_deformed_exp", spied)
         return seen
