@@ -173,9 +173,40 @@ def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
     return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, work[1], lowest)
 
 
-def _z(n: float, qm1: float) -> float:
-    """Term i of f equals 1/n at a = x_i - _z(n, q - 1)."""
-    return math.log(n) if qm1 == 0.0 else -math.expm1(-qm1 * math.log(n)) / qm1
+def _z(log_n: float, qm1: float) -> float:
+    """Term i of f equals 1/n at a = x_i - _z(ln n, q - 1)."""
+    return log_n if qm1 == 0.0 else -math.expm1(-qm1 * log_n) / qm1
+
+
+def _model_start(x: np.ndarray, qm1: float, scratch: np.ndarray) -> float:
+    """The root of f's second-order moment model W e(m - a) (1 + c/b^2) = 1.
+
+    e is the deformed exponential, m and s2 are the mean and variance of
+    x, b = 1 - (q-1)(m - a) is the base at the mean and c = (2-q) s2/2,
+    so that c/b^2 is s2 e''/(2e).  e(m - a) = 1/N at a = m - z_N, where
+    b = N^(1-q); so the root is m - z_N for the N that solves
+    ln N = ln W + log1p(c N^(2(q-1))), which three Newton steps on ln N
+    from ln W find.  The model is exact for a flat spectrum, for W = 1,
+    and at q = 3/2 while no base is cut off, where e is quadratic.  Where
+    it is undefined -- c/b^2 <= -1/2 (q > 2), a step without a positive
+    slope (3/2 < q < 2), or beyond a double -- the start is m - z_W, where
+    f >= 1 by Jensen's inequality for q < 2.  The moments take one
+    subtract into ``scratch`` and two reductions.
+    """
+    m = float(np.add.reduce(x)) / x.size
+    centred = np.subtract(x, m, out=scratch)
+    c = (1.0 - qm1) * float(np.dot(centred, centred)) / (2.0 * x.size)
+    log_w = log_n = math.log(x.size)
+    try:
+        for _ in range(3):
+            t = c * math.exp(2.0 * qm1 * log_n)  # c/b^2
+            slope = 1.0 - 2.0 * qm1 * t / (1.0 + t) if t > -0.5 else math.nan
+            if not slope > 0.0:  # also where t or the slope is NaN
+                return m - _z(log_w, qm1)
+            log_n -= (log_n - log_w - math.log1p(t)) / slope
+        return m - _z(log_n, qm1)
+    except OverflowError:
+        return m - _z(log_w, qm1)
 
 
 def _closed_form(x: np.ndarray, x_min: float, qm1: float, scratch: np.ndarray) -> float | None:
@@ -207,12 +238,12 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
     2^-53/|q - 1|, at most ``RESIDUAL_BOUND``/4 and 0 at q = 1, is the
     rounding of one base 1 - (q-1)(x_i - a) carried through the power
     1/(q-1): below it f - 1 is rounding noise, which no further pass
-    resolves.  It begins at x_max - z_W and takes at most
-    ``_SHIFT_PASSES`` passes.  Returns (solution, p) with p
-    at ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
-    iteration's best point came before its last pass, one more pass
-    evaluates them there.  p lives in ``work``, so the next pass
-    overwrites it.
+    resolves.  It begins at :func:`_model_start`, clamped into the
+    bracket, and takes at most ``_SHIFT_PASSES`` passes.  Returns
+    (solution, p) with p at ``solution.a0`` and the residual f(a0) - 1,
+    never NaN: when the iteration's best point came before its last
+    pass, one more pass evaluates them there.  p lives in ``work``, so
+    the next pass overwrites it.
     """
     if qm1 != 0.0:  # eps_q
         tol = max(tol, min(2.0**-53 / abs(qm1), 0.25 * RESIDUAL_BOUND))
@@ -249,11 +280,10 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
         return ShiftSolution(a0, last[2], (a0, a0), 0, SolveMethod.CLOSED_FORM), last[1]
 
     # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
-    # probability exceeds 1 below it.  The default start, where every
-    # term is at least 1/W, is the root itself for a flat spectrum; the
-    # margin on each side of it leaves room to search past rounding
-    # noise there.
-    lo, hi = x_min - _z(2.0 * x.size, qm1), x_min
+    # probability exceeds 1 below it.  The start is the root itself for a
+    # flat spectrum; the margin on each side of it leaves room to search
+    # past rounding noise there.
+    lo, hi = x_min - _z(math.log(2.0 * x.size), qm1), x_min
     if qm1 > 0.0:
         endpoint = x_max - 1.0 / qm1
         if endpoint_value == 1.0:
@@ -264,7 +294,8 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
             return (ShiftSolution(endpoint, last[2], (endpoint, endpoint), 0,
                                   SolveMethod.BISECTION), last[1])
         lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
-    start = min(x_max - _z(x.size, qm1), hi)
+    start = _model_start(x, qm1, work[0])
+    start = hi if not start < hi else max(start, lo)  # a NaN start, where m overflows, too
     a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
     if last[0] != a0:
         fd(a0)  # the best point came earlier
@@ -303,9 +334,13 @@ def solve_shift(
     ``use_closed_forms`` is false.  The generic path brackets the root
     in closed form.  Term i equals 1/n at a = x_i - z_n, so
     f(x_min - z_2W) <= 1/2 and f(x_min) >= 1; the lower end is clipped
-    up to the domain endpoint for q > 1.  Newton steps start at
-    x_max - z_W, where f >= 1, and shrink the bracket, falling back to
-    bisection whenever a step would leave it.  They run on the
+    up to the domain endpoint for q > 1.  Newton steps start at the root
+    of f's second-order moment model W e(m - a)(1 + c/b^2) = 1, with m
+    and s2 the mean and variance of x, b = 1 - (q-1)(m - a) and
+    c = (2-q) s2/2, which is exact for a flat spectrum and at q = 3/2;
+    where the model is undefined they start at m - z_W, where f >= 1 for
+    q < 2 by Jensen's inequality.  They shrink the bracket, falling back
+    to bisection whenever a step would leave it.  They run on the
     linearising transform h = (f^(q-1) - 1)/(q-1), log f at q = 1: each
     p_i^(q-1) is affine in a, so h is exactly linear for W = 1, for a
     flat spectrum and at q = 1, and nearly linear otherwise.  Its slope

@@ -17,6 +17,7 @@ from qentropy import (
     bg_entropy,
     compose,
     max_uncertainty,
+    shifted_distribution,
     tsallis_entropy,
     two_state_sweep,
     uncertainty,
@@ -329,3 +330,58 @@ class TestVarentropyResidual:
     def test_classical_branch(self):
         resid = varentropy_residual(Spectrum([0.0, 1.0]), QParam(1), [1.0, -1.0], 1e-6)
         assert resid <= 1e-5
+
+    # two instances of acceptance criterion 07, with its tangent.  The measure drops
+    # 1 - sum p within 4 eps and keeps it at 5 eps, so when the two vectors of the
+    # difference fell on either side of that cut, the quotient moved by about
+    # eps/(q (q - 1) step) and the halving check failed: on the first as the solver
+    # now places its sum (4 eps, at 5e-7 a residual of 8.54e-8 against 7.76e-8), on
+    # the second (instance 27) from a start that placed it at 4 eps, 5 eps at
+    # step 5e-7 (5.51e-8 against 4.65e-8)
+    CUT_INSTANCES = [
+        (1.0774282603965422,
+         [2.1434678260780653, 0.8681697824079347, 3.0630826408070955, 3.4292434450854774,
+          1.1286394280733865, 1.236857686039854, 0.6491878140623916, 3.354795547242867],
+         [-0.05959601766489309, 0.12784932093536425, 0.003563144741467994,
+          -0.007088425051766709, 0.044402649868688505, 0.0651122796875905,
+          -0.1741063489351307, -0.00013660358132076207]),
+        (1.0937537050789854,
+         [-3.8953394198986713, -0.586504495405202, -1.35894159312396, -0.516052184372413,
+          -3.7927925984573028, -1.7861244503543179, -1.117991191951294, -0.2953347085913276,
+          -2.8912802169582754, -1.7984071472981678, -0.4605050244524251, -3.3405083529838344,
+          -1.378715463354844, -2.6808639186614154, -3.7817718267020233, -0.7534369001162217,
+          -1.662660248480504, -2.6280794644083896, -0.9761294376209868, -3.0438088655651487,
+          -1.509406851391281],
+         [0.047415168428350474, 0.0005979743546988307, 0.0003838831144375347,
+          -0.0003193056241946671, 0.021614754503086527, -0.0020973630761332096,
+          0.0018663401925959494, -0.0004910476785945169, 0.01160151909343794,
+          -0.00368612792004506, 0.0010453872350091923, 0.014344562312817468,
+          -0.003596614283932027, -0.008284592566284514, 0.05010861954675155,
+          -0.0010878348394714468, -0.011549395293489924, -0.04264549022743078,
+          -0.0006618880040700017, -0.07585261787130257, 0.0012940686037632469]),
+    ]
+
+    @pytest.mark.parametrize("q, values, tangent", CUT_INSTANCES, ids=["sum-at-4-eps", "27"])
+    def test_difference_does_not_cross_the_normalization_cut(self, q, values, tangent):
+        spectrum, qp = Spectrum(values), QParam(q)
+        probs = shifted_distribution(spectrum, qp)[0].as_array()
+        full = varentropy_residual(spectrum, qp, tangent, 1e-6)
+        half = varentropy_residual(spectrum, qp, tangent, 5e-7)
+        # criterion 07's allowance, unchanged
+        magnitude = float(np.power(probs, q).sum()) / abs(q * (q - 1.0))
+        floor = 4.0 * float(np.finfo(float).eps) * max(1.0, magnitude) / 5e-7
+        assert full <= 1e-4 * float(np.linalg.norm(tangent))
+        assert half <= 0.5 * full * (1.0 + 1e-3) + floor
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_step_onto_the_boundary(self, q):
+        # a p' of exactly 0, where ln p' is -inf: its term is -(p^q - p)/(q - 1)
+        spectrum = Spectrum([0.0, 0.3, 0.4])
+        dist, _ = shifted_distribution(spectrum, QParam(q))
+        probs = dist.as_array()
+        tangent = [probs[2], 0.0, -probs[2]]
+        moved = Distribution([probs[0] + probs[2], probs[1], 0.0])
+        change = uncertainty(moved, QParam(q)) - uncertainty(dist, QParam(q))
+        pairing = (0.0 - 0.4) * probs[2]
+        assert varentropy_residual(spectrum, QParam(q), tangent, 1.0) == pytest.approx(
+            abs(change - pairing), rel=1e-12, abs=1e-14)

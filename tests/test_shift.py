@@ -284,9 +284,9 @@ class TestSolveShift:
         for spectrum, q in cases:
             _, solution = shifted_distribution(spectrum, q)
             assert abs(solution.residual) <= 1e-10
-        # 1225 passes measured; 1682 without the ulp and rounding-floor stops,
-        # and Newton steps on f itself took 2401 here
-        assert len(passes) <= 1225
+        # 810 passes measured; 1225 from the start x_max - z_W, 1682 from there
+        # without the ulp and rounding-floor stops, and Newton steps on f itself took 2401
+        assert len(passes) <= 810
 
     @pytest.mark.parametrize("q", [1.0 + 1e-5, 1.0 - 1e-5])
     def test_near_one_stops_at_the_rounding_floor(self, monkeypatch, q):
@@ -349,16 +349,57 @@ class TestSolveShift:
     @pytest.mark.parametrize("spectrum", [Spectrum([0.37]), Spectrum([0.2] * 50)],
                              ids=["single", "flat"])
     def test_exact_start_takes_one_pass(self, monkeypatch, spectrum, q):
-        # the start x_max - z_W is the root itself for W = 1 and a flat spectrum
+        # the moment-model start is the root itself for W = 1 and a flat spectrum
         passes = self._count_passes(monkeypatch)
         solution = solve_shift(spectrum, QParam(q), use_closed_forms=False)
         assert len(passes) == 1
         assert abs(solution.residual) <= 1e-12
 
+    def test_recipe_spectra_at_three_halves_solve_in_one_pass(self, monkeypatch):
+        # e_q is quadratic at q = 3/2, so the second-order moment model is f itself
+        # wherever no base is cut off: at every root above the domain endpoint
+        rng = np.random.default_rng(89)
+        spectra = [recipe_spectrum(rng, 1.5) for _ in range(100)]
+        passes = self._count_passes(monkeypatch)
+        for spectrum in spectra:
+            passes.clear()
+            solution = solve_shift(spectrum, QParam(1.5), use_closed_forms=False)
+            assert len(passes) == 1
+            assert abs(solution.residual) <= 1e-12
+
+    def test_pass_counts_at_a_million(self, monkeypatch):
+        # one uniform[0, 1) draw, scaled to an endpoint sum of 0.25 at q > 1; the start
+        # x_max - z_W took 2, 2, 3 and 4 passes
+        x = np.random.default_rng(1).random(10**6)
+        expected = {0.3: 1, 0.5: 1, 0.8: 2, 1.5: 1}
+        passes = self._count_passes(monkeypatch)
+        for q, count in expected.items():
+            values = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0) if q > 1.0 else x
+            passes.clear()
+            solution = solve_shift(Spectrum(values), QParam(q))
+            assert len(passes) == count, q
+            assert abs(solution.residual) <= 1e-12
+
+    def test_model_start(self):
+        # exact at q = 3/2, where f(a) = W (b^2 + s2/4) with b = 1 - (m - a)/2
+        x = np.random.default_rng(97).random(2000) * 0.01
+        m, s2 = float(np.mean(x)), float(np.var(x))
+        exact = m - 2.0 * (1.0 - math.sqrt(1.0 / x.size - s2 / 4.0))
+        assert shift._model_start(x, 0.5, np.empty(x.size)) == pytest.approx(exact, rel=0,
+                                                                             abs=1e-15)
+        # undefined where c/b^2 = -2 (q = 3), and beyond a double at q = 300: both
+        # fall back to Jensen's m - z_W
+        for values, qm1 in (([0.0, 1.0], 2.0), ([0.0] + [1e-300] * 99, 299.0)):
+            x = np.array(values)
+            jensen = float(np.mean(x)) - shift._z(math.log(x.size), qm1)
+            assert shift._model_start(x, qm1, np.empty(x.size)) == jensen
+
     @pytest.mark.parametrize("q, values", [
         (30.0, [1e-300] + [0.0] * 99),  # f underflows to 0 at a probe, where log1p raises
         (300.0, [0.0] + [1e-300] * 99),  # f^(q-1) overflows a double at a probe
-    ], ids=["f-underflows", "h-overflows"])
+        (3000.0, [0.0] + [1e-300] * 99),  # so does the start's W^(2(q-1))
+        (30.0, [1e308] * 3),  # the mean overflows to inf, and the start with it
+    ], ids=["f-underflows", "h-overflows", "start-overflows", "mean-overflows"])
     def test_extreme_transform_gives_a_typed_result(self, q, values):
         try:
             solution = solve_shift(Spectrum(values), QParam(q), use_closed_forms=False)
@@ -453,10 +494,12 @@ class TestSolveShift:
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_only_stepping_passes_compute_the_slope(self, monkeypatch, q):
         # a pass that meets tol ends the iteration, so it needs no f': no divide
-        # and no second sum; and no pass reduces the base for its minimum
-        x = np.random.default_rng(79).random(10**6)
+        # and no second sum; and no pass reduces the base for its minimum.  A span
+        # of 100, and at q > 1 an endpoint sum of 0.9, put the moment-model start
+        # a Newton step from the root; on uniform[0, 1) it is the root at this W
+        x = 100.0 * np.random.default_rng(79).random(10**6)
         if q > 1.0:
-            x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+            x = x * (0.9 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
         spectrum = Spectrum(x)
         events, slope, divide, minimum = [], shift._slope, np.divide, np.minimum
 
@@ -501,9 +544,11 @@ class TestSolveShift:
             solve_shift(Spectrum(values), QParam(q), use_closed_forms=closed)
 
     def test_iteration_budget_is_respected(self, monkeypatch):
+        # this solve takes 4 passes; after 3 its residual is 3e-6
         monkeypatch.setattr(shift, "_SHIFT_PASSES", 3)
         with pytest.raises(ConvergenceError):
-            solve_shift(UNIT, QParam(0.5), tol=1e-15, use_closed_forms=False)
+            solve_shift(Spectrum([0.0, 1.0, 2.0, 50.0]), QParam(0.5), tol=1e-15,
+                        use_closed_forms=False)
 
 
 class TestShiftedDistribution:
