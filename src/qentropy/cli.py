@@ -193,8 +193,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 # any failure and returns the residual contracts to re-check.
 
 def _cmd_shift(args: argparse.Namespace, report: dict) -> _Checks:
-    report.update(q=args.q, inputs={"spectrum": args.spectrum, "tol": args.tol,
-                                    "closed_forms": not args.no_closed_form})
+    report.update(q=args.q, inputs={"spectrum": args.spectrum, "tol": args.tol})
     spectrum = load_spectrum(args.spectrum)
     qp = QParam(args.q)
     report["inputs"]["values"] = spectrum.as_array().tolist()
@@ -206,8 +205,7 @@ def _cmd_shift(args: argparse.Namespace, report: dict) -> _Checks:
         "feasible": report_feas.feasible,
     }
     report["results"] = {"feasibility": feas_dict}
-    solution = solve_shift(spectrum, qp, tol=args.tol,
-                           use_closed_forms=not args.no_closed_form)
+    solution = solve_shift(spectrum, qp, tol=args.tol)
     report["results"] = {
         "a0": solution.a0,
         "residual": solution.residual,
@@ -417,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shift.add_argument("--tol", type=_finite_float, default=1e-12,
                          help="solver tolerance on |f(a0) - 1|, raised to 2^-53/|q - 1| "
                               "(at most 2.5e-11) where that is larger")
-    p_shift.add_argument("--no-closed-form", action="store_true",
-                         help="force the generic bracketed solve")
     p_shift.set_defaults(handler=_cmd_shift)
 
     p_entropy = sub.add_parser("entropy", help="evaluate the uncertainty measure")

@@ -34,7 +34,6 @@ _SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
 class SolveMethod(enum.Enum):
     BISECTION = "bisection"  # a q > 1 root on the domain endpoint, taken as is
     BISECTION_THEN_NEWTON = "bisection_then_newton"  # bracketed Newton steps
-    CLOSED_FORM = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -187,6 +186,7 @@ def _model_start(x: np.ndarray, qm1: float, scratch: np.ndarray) -> float:
     b = N^(1-q); so the root is m - z_N for the N that solves
     ln N = ln W + log1p(c N^(2(q-1))), which three Newton steps on ln N
     from ln W find.  The model is exact for a flat spectrum, for W = 1,
+    at q = 2, where c = 0 and f is linear, so that the root is m - z_W,
     and at q = 3/2 while no base is cut off, where e is quadratic.  Where
     it is undefined -- c/b^2 <= -1/2 (q > 2), a step without a positive
     slope (3/2 < q < 2), or beyond a double -- the start is m - z_W, where
@@ -209,42 +209,28 @@ def _model_start(x: np.ndarray, qm1: float, scratch: np.ndarray) -> float:
         return m - _z(log_w, qm1)
 
 
-def _closed_form(x: np.ndarray, x_min: float, qm1: float, scratch: np.ndarray) -> float | None:
-    if x.size == 1:
-        # single term equals 1 exactly when a = x_1, for every q
-        return x_min
-    if qm1 == 0.0:
-        # x_min - log sum exp(x_min - x_i): every term is at most 1, and one is 1
-        terms = np.subtract(x_min, x, out=scratch)
-        return x_min - math.log(float(np.add.reduce(np.exp(terms, out=terms))))
-    if qm1 == 1.0:
-        # f is linear in a at q = 2, so f(a) = 1 solves exactly
-        return (1.0 - x.size + float(np.add.reduce(x))) / x.size
-    return None
+def _solve(spectrum: Spectrum, q: QParam, tol: float):
+    """:func:`solve_shift`'s solve: the root a0 of f(a) = 1, and the kernel pass at a0.
 
-
-def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_value: float,
-                work: tuple[np.ndarray, np.ndarray], tol: float, use_closed_forms: bool):
-    """The root a0 of f(a) = 1 on the values x, and the kernel pass at a0.
-
-    ``qm1`` is q - 1, ``x_min`` and ``x_max`` are the extremes of x,
-    ``endpoint_value`` is f at the q > 1 domain endpoint (at most 1) and
-    ``work`` is the caller's workspace of :func:`_kernel_pass`, and the
-    caller owns numpy's error state.  The Newton iteration runs on
-    h = (f^(q-1) - 1)/(q-1) (log f at q = 1), which has the sign of f - 1
-    and is nearly linear in a; it stops once |h| <= max(``tol``, eps_q),
-    which is |f - 1| <= max(``tol``, eps_q) to within a relative O(tol),
-    and a pass that does not stop it also sums h' = f^(q-2) f'.  eps_q =
-    2^-53/|q - 1|, at most ``RESIDUAL_BOUND``/4 and 0 at q = 1, is the
-    rounding of one base 1 - (q-1)(x_i - a) carried through the power
-    1/(q-1): below it f - 1 is rounding noise, which no further pass
-    resolves.  It begins at :func:`_model_start`, clamped into the
-    bracket, and takes at most ``_SHIFT_PASSES`` passes.  Returns
-    (solution, p) with p at ``solution.a0`` and the residual f(a0) - 1,
-    never NaN: when the iteration's best point came before its last
-    pass, one more pass evaluates them there.  p lives in ``work``, so
-    the next pass overwrites it.
+    The Newton iteration runs on h = (f^(q-1) - 1)/(q-1) (log f at
+    q = 1), which has the sign of f - 1 and is nearly linear in a; it
+    stops once |h| <= max(``tol``, eps_q), which is |f - 1| <=
+    max(``tol``, eps_q) to within a relative O(``tol``), and a pass that
+    does not stop it also sums h' = f^(q-2) f'.  eps_q = 2^-53/|q - 1|,
+    at most ``RESIDUAL_BOUND``/4 and 0 at q = 1, is the rounding of one
+    base 1 - (q-1)(x_i - a) carried through the power 1/(q-1): below it
+    f - 1 is rounding noise, which no further pass resolves.  It begins
+    at the log-sum-exp root at q = 1 and at :func:`_model_start`
+    otherwise, clamped into the bracket, and takes at most
+    ``_SHIFT_PASSES`` passes.  Returns (solution, p) with p at
+    ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
+    iteration's best point came before its last pass, one more pass
+    evaluates them there.  p lives in the solve's own workspace of two
+    arrays, which no later solve reuses.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    qm1, x, x_min, x_max = q.q - 1.0, spectrum.as_array(), spectrum.x_min, spectrum.x_max
     if qm1 != 0.0:  # eps_q
         tol = max(tol, min(2.0**-53 / abs(qm1), 0.25 * RESIDUAL_BOUND))
     last = None  # (a, p, f - 1) of the latest pass
@@ -269,36 +255,38 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
         except OverflowError:  # h or h' beyond a double: its sign still orders the bracket
             return math.copysign(math.inf, r), math.nan
 
-    a0 = _closed_form(x, x_min, qm1, work[0]) if use_closed_forms else None
-    if a0 is not None:
-        if qm1 > 0.0:
-            # a feasible q = 2 root can round a hair below the endpoint
-            a0 = max(a0, x_max - 1.0 / qm1)
-        fd(a0)
-        if not abs(last[2]) <= RESIDUAL_BOUND:
-            raise ConvergenceError(f"closed form residual {last[2]} above bound")
-        return ShiftSolution(a0, last[2], (a0, a0), 0, SolveMethod.CLOSED_FORM), last[1]
-
     # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
     # probability exceeds 1 below it.  The start is the root itself for a
     # flat spectrum; the margin on each side of it leaves room to search
     # past rounding noise there.
     lo, hi = x_min - _z(math.log(2.0 * x.size), qm1), x_min
-    if qm1 > 0.0:
-        endpoint = x_max - 1.0 / qm1
-        if endpoint_value == 1.0:
-            # the root is the endpoint itself, where f' can be singular
-            fd(endpoint)
-            if not abs(last[2]) <= RESIDUAL_BOUND:
-                raise ConvergenceError(f"endpoint residual {last[2]} above bound")
-            return (ShiftSolution(endpoint, last[2], (endpoint, endpoint), 0,
-                                  SolveMethod.BISECTION), last[1])
-        lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
-    start = _model_start(x, qm1, work[0])
-    start = hi if not start < hi else max(start, lo)  # a NaN start, where m overflows, too
-    a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
-    if last[0] != a0:
-        fd(a0)  # the best point came earlier
+    # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
+    # for q <= 1, and whose endpoint terms make q > 1 infeasible
+    with np.errstate(**_KERNEL_ERRORS):
+        endpoint_value = _endpoint_sum(x, x_max, qm1) if qm1 > 0.0 else 0.0
+        if not endpoint_value <= 1.0:
+            raise InfeasibleError(f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
+        work = (np.empty(x.size), np.empty(x.size))  # fd's workspace
+        if qm1 > 0.0:
+            endpoint = x_max - 1.0 / qm1
+            if endpoint_value == 1.0:
+                # the root is the endpoint itself, where f' can be singular
+                fd(endpoint)
+                if not abs(last[2]) <= RESIDUAL_BOUND:
+                    raise ConvergenceError(f"endpoint residual {last[2]} above bound")
+                return (ShiftSolution(endpoint, last[2], (endpoint, endpoint), 0,
+                                      SolveMethod.BISECTION), last[1])
+            lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
+        if qm1 == 0.0:
+            # the root itself, within an ulp: every term of the sum is at most 1, and one is 1
+            terms = np.subtract(x_min, x, out=work[0])
+            start = x_min - math.log(float(np.add.reduce(np.exp(terms, out=terms))))
+        else:
+            start = _model_start(x, qm1, work[0])
+        start = hi if not start < hi else max(start, lo)  # a NaN start, where m overflows, too
+        a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
+        if last[0] != a0:
+            fd(a0)  # the best point came earlier
     if not abs(last[2]) <= RESIDUAL_BOUND:
         raise ConvergenceError(
             f"solver stopped with residual {last[2]} after {iterations} iterations"
@@ -307,60 +295,44 @@ def _solve_root(x: np.ndarray, x_min: float, x_max: float, qm1: float, endpoint_
             last[1])
 
 
-def _solve(spectrum: Spectrum, q: QParam, tol: float, use_closed_forms: bool):
-    """:func:`solve_shift`'s solve, returning (solution, p) with p at a0 from its last pass."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    qm1, x = q.q - 1.0, spectrum.as_array()
-    # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
-    # for q <= 1, and whose endpoint terms make q > 1 infeasible
-    with np.errstate(**_KERNEL_ERRORS):
-        endpoint_value = _endpoint_sum(x, spectrum.x_max, qm1) if qm1 > 0.0 else 0.0
-        if not endpoint_value <= 1.0:
-            raise InfeasibleError(f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
-        return _solve_root(x, spectrum.x_min, spectrum.x_max, qm1, endpoint_value,
-                           (np.empty(x.size), np.empty(x.size)), tol, use_closed_forms)
-
-
-def solve_shift(
-    spectrum: Spectrum,
-    q: QParam,
-    tol: float = _SHIFT_TOL,
-    use_closed_forms: bool = True,
-) -> ShiftSolution:
+def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> ShiftSolution:
     """Solve f(a0) = 1 for the normalizing shift.
 
-    Closed forms short-circuit W = 1 (any q), q = 1 and q = 2 unless
-    ``use_closed_forms`` is false.  The generic path brackets the root
-    in closed form.  Term i equals 1/n at a = x_i - z_n, so
-    f(x_min - z_2W) <= 1/2 and f(x_min) >= 1; the lower end is clipped
-    up to the domain endpoint for q > 1.  Newton steps start at the root
-    of f's second-order moment model W e(m - a)(1 + c/b^2) = 1, with m
-    and s2 the mean and variance of x, b = 1 - (q-1)(m - a) and
-    c = (2-q) s2/2, which is exact for a flat spectrum and at q = 3/2;
-    where the model is undefined they start at m - z_W, where f >= 1 for
-    q < 2 by Jensen's inequality.  They shrink the bracket, falling back
-    to bisection whenever a step would leave it.  They run on the
-    linearising transform h = (f^(q-1) - 1)/(q-1), log f at q = 1: each
-    p_i^(q-1) is affine in a, so h is exactly linear for W = 1, for a
-    flat spectrum and at q = 1, and nearly linear otherwise.  Its slope
-    h' = f^(q-2) f' comes from the same kernel pass as f, when it steps.
-    They stop once |h| <= max(``tol``, eps_q); as h = (f - 1)(1 + O(f - 1)),
-    that is |f - 1| <= max(``tol``, eps_q) to within a relative O(``tol``).
+    The solve brackets the root in closed form.  Term i equals 1/n at
+    a = x_i - z_n, so f(x_min - z_2W) <= 1/2 and f(x_min) >= 1; the lower
+    end is clipped up to the domain endpoint for q > 1.  At q = 1 Newton
+    steps start at the root x_min - log sum exp(x_min - x_i) itself,
+    within an ulp, so that the first pass confirms it.  Otherwise they
+    start at the root of f's second-order moment model
+    W e(m - a)(1 + c/b^2) = 1 (:func:`_model_start`), with m and
+    s2 the mean and variance of x, b = 1 - (q-1)(m - a) and
+    c = (2-q) s2/2, which is exact for W = 1, for a flat spectrum, at
+    q = 3/2 and, where f is linear, at q = 2; where the model is
+    undefined they start at m - z_W, where f >= 1 for q < 2 by Jensen's
+    inequality.  They shrink the bracket, falling back to bisection
+    whenever a step would leave it.  They run on the linearising
+    transform h = (f^(q-1) - 1)/(q-1), log f at q = 1: each p_i^(q-1) is
+    affine in a, so h is exactly linear for W = 1, for a flat spectrum
+    and at q = 1, and nearly linear otherwise.  Its slope h' = f^(q-2) f'
+    comes from the same kernel pass as f, when it steps.  They stop once
+    |h| <= max(``tol``, eps_q); as h = (f - 1)(1 + O(f - 1)), that is
+    |f - 1| <= max(``tol``, eps_q) to within a relative O(``tol``).
     ``tol`` is what the CLI's ``--tol`` sets, and eps_q = 2^-53/|q - 1|,
     capped at ``RESIDUAL_BOUND``/4, is the rounding of one base carried
     through the power 1/(q-1), the floor of f's rounding noise near q = 1;
     it exceeds the default ``tol`` only for |q - 1| < 1.12e-4.  They also
     stop once a Newton step rounds back to its own point, where the root
     lies within half an ulp of it.  ``iterations`` counts those kernel
-    passes, and ``residual`` is f(a0) - 1 itself.  numpy's overflow,
-    division and invalid-value errors are ignored throughout the solve.
+    passes, at least 1, and ``residual`` is f(a0) - 1 itself.  A q > 1
+    root on the domain endpoint is taken as is, with 0 iterations and
+    method ``BISECTION``.  numpy's overflow, division and invalid-value
+    errors are ignored throughout the solve.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes
     is exhausted with the residual above ``RESIDUAL_BOUND`` or NaN.
     """
-    return _solve(spectrum, q, tol, use_closed_forms)[0]
+    return _solve(spectrum, q, tol)[0]
 
 
 def shifted_distribution(spectrum: Spectrum, q: QParam) -> tuple[Distribution, ShiftSolution]:
@@ -371,5 +343,5 @@ def shifted_distribution(spectrum: Spectrum, q: QParam) -> tuple[Distribution, S
     probabilities come back in spectrum order and sum to 1 within the
     solver residual bound.
     """
-    solution, p = _solve(spectrum, q, _SHIFT_TOL, True)
+    solution, p = _solve(spectrum, q, _SHIFT_TOL)
     return Distribution(p), solution

@@ -112,21 +112,21 @@ def test_criterion_02_super_unit_feasibility():
 
 
 def test_criterion_03_closed_form_oracles():
-    with criterion(3, "generic solver matches the q = 1 and q = 2 closed forms to 1e-10"):
+    with criterion(3, "the shift solve matches the q = 1 and q = 2 closed forms to 1e-10"):
         rng = np.random.default_rng(103)
         for _ in range(200):
             w = int(rng.integers(2, 65))
             values = rng.uniform(0.0, 1.0, w).tolist()
-            generic = solve_shift(Spectrum(values), QParam(1), use_closed_forms=False).a0
+            solved = solve_shift(Spectrum(values), QParam(1)).a0
             closed = -math.log(math.fsum(math.exp(-v) for v in values))
-            assert abs(generic - closed) <= 1e-10
+            assert abs(solved - closed) <= 1e-10
         for _ in range(200):
             w = int(rng.integers(2, 65))
             # scale keeps the q = 2 endpoint sum below W * span <= 0.9
             values = rng.uniform(0.0, 0.9 / w, w).tolist()
-            generic = solve_shift(Spectrum(values), QParam(2), use_closed_forms=False).a0
+            solved = solve_shift(Spectrum(values), QParam(2)).a0
             closed = (1.0 - w + math.fsum(values)) / w
-            assert abs(generic - closed) <= 1e-10
+            assert abs(solved - closed) <= 1e-10
 
 
 def test_criterion_04_figure_reproduction(tmp_path):

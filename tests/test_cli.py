@@ -35,7 +35,7 @@ class TestShiftCommand:
         assert report["status"] == "ok"
         assert report["command"] == "shift"
         assert report["results"]["a0"] == pytest.approx(-0.3, abs=1e-15)
-        assert report["results"]["method"] == "closed_form"
+        assert report["results"]["method"] == "bisection_then_newton"
         assert abs(report["results"]["residual"]) <= 1e-10
         assert report["results"]["feasibility"]["feasible"] is True
 
@@ -62,12 +62,13 @@ class TestShiftCommand:
         assert code == 0
         assert report["results"]["a0"] == pytest.approx(-0.31326168751822286, abs=1e-12)
 
-    def test_no_closed_form_flag(self, capsys, spectrum_file):
-        path = spectrum_file([0, 0.4])
-        code, report = run(capsys, "shift", path, "--q", "2", "--no-closed-form")
+    def test_q2_at_a_large_offset(self, capsys, spectrum_file):
+        # the closed-form root of the linear f missed the residual bound here
+        path = spectrum_file([1e6, 1e6 + 0.0005, 1e6 + 0.001])
+        code, report = run(capsys, "shift", path, "--q", "2")
         assert code == 0
-        assert report["results"]["method"] != "closed_form"
-        assert report["results"]["a0"] == pytest.approx(-0.3, abs=1e-10)
+        assert report["status"] == "ok"
+        assert abs(report["results"]["residual"]) <= 1e-10
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, report = run(capsys, "shift", str(tmp_path / "nope.json"), "--q", "2")
@@ -240,7 +241,7 @@ class TestMaxentCommand:
             raise AssertionError("a second shift solve ran")
 
         monkeypatch.setattr(cli, "maxent_distribution", no_shift_solve)
-        monkeypatch.setattr(shift, "_solve_root", no_shift_solve)
+        monkeypatch.setattr(shift, "_solve", no_shift_solve)
         code, report = run(capsys, "maxent", spectrum_file(values), "--q", str(q),
                            "--target-u", "0.3")
         assert code == 0

@@ -116,6 +116,7 @@ FAILURES = {
     "shift missing file": (["shift", "{missing}", "--q", "2"], 1),
     "shift bad q": (["shift", "{unit}", "--q", "-1"], 1),
     "shift infeasible": (["shift", "{wide}", "--q", "2"], 2),
+    "shift removed closed-form switch": (["shift", "{unit}", "--q", "2", "--no-closed-form"], 64),
     "maxent bad q": (["maxent", "{unit}", "--q", "-1", "--target-u", "0.5"], 1),
     "maxent target outside hull": (["maxent", "{unit}", "--q", "1", "--target-u", "2"], 2),
     "escort bad q-tilde": (["escort", "{unit}", "--q-tilde=-1", "--beta", "1"], 1),

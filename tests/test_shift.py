@@ -174,7 +174,8 @@ class TestSolveShift:
     def test_closed_form_q2(self):
         sol = solve_shift(PAIR, QParam(2))
         assert sol.a0 == pytest.approx(-0.3, abs=1e-15)
-        assert sol.method is SolveMethod.CLOSED_FORM
+        # f is linear at q = 2, and the moment-model start is its root
+        assert sol.method is SolveMethod.BISECTION_THEN_NEWTON and sol.iterations == 1
 
     def test_closed_form_classical(self):
         sol = solve_shift(UNIT, QParam(1))
@@ -195,11 +196,11 @@ class TestSolveShift:
         for q in (0.3, 1.0, 2.0, 2.9):
             sol = solve_shift(Spectrum([0.37]), QParam(q))
             assert sol.a0 == 0.37
-            assert sol.method is SolveMethod.CLOSED_FORM
+            assert sol.method is SolveMethod.BISECTION_THEN_NEWTON and sol.iterations == 1
 
     def test_boundary_endpoint_value_exactly_one(self):
         # endpoint sum for {0, 1} at q = 2 is exactly 1: root sits on the endpoint
-        sol = solve_shift(UNIT, QParam(2), use_closed_forms=False)
+        sol = solve_shift(UNIT, QParam(2))
         assert sol.a0 == 0.0
         assert abs(sol.residual) <= 1e-10
 
@@ -214,20 +215,6 @@ class TestSolveShift:
             assert abs(sol.residual) <= 1e-10
             assert sol.a0 <= spectrum.x_min - 1.0 / (q.q - 1.0)
             assert abs(partition_value(sol.a0, spectrum, q) - 1.0) <= 1e-10
-
-    def test_generic_matches_closed_forms(self):
-        rng = np.random.default_rng(29)
-        for q in (1.0, 2.0):
-            done = 0
-            while done < 40:
-                spectrum = Spectrum(rng.uniform(0, 1, rng.integers(2, 64)).tolist())
-                qp = QParam(q)
-                if not feasibility(spectrum, qp).feasible:
-                    continue
-                closed = solve_shift(spectrum, qp).a0
-                generic = solve_shift(spectrum, qp, use_closed_forms=False).a0
-                assert generic == pytest.approx(closed, abs=1e-10)
-                done += 1
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(31)
@@ -337,21 +324,38 @@ class TestSolveShift:
             assert failed == expected, q
 
     @pytest.mark.parametrize("w", [2, 10, 256])
-    def test_classical_generic_path_is_one_newton_step(self, monkeypatch, w):
-        # h = log f is linear in a at q = 1: the start, then the root
+    def test_classical_solve_takes_one_pass(self, monkeypatch, w):
+        # the q = 1 start is the log-sum-exp root, which the first pass confirms
         spectrum = Spectrum(np.random.default_rng(w).random(w))
         passes = self._count_passes(monkeypatch)
-        solution = solve_shift(spectrum, QParam(1), use_closed_forms=False)
-        assert len(passes) <= 2
+        solution = solve_shift(spectrum, QParam(1))
+        assert len(passes) == 1 and solution.iterations == 1
         assert abs(solution.residual) <= 1e-12
 
-    @pytest.mark.parametrize("q", [0.5, 1.5, 3.0])
+    def test_classical_root_is_the_log_sum_exp_bit_for_bit(self):
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 6) + rng.random(
+                int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-3, 3)
+            x_min = float(np.min(x))
+            expected = x_min - math.log(float(np.add.reduce(np.exp(x_min - x))))
+            assert solve_shift(Spectrum(x), QParam(1)).a0 == expected
+
+    def test_q2_at_a_large_offset_solves(self):
+        # f is linear here, but its closed-form root (1 - W + sum x)/W rounds to a
+        # residual of 3.49e-10 at this offset; Newton steps from the start reach 0
+        solution = solve_shift(Spectrum([1e6, 1e6 + 0.0005, 1e6 + 0.001]), QParam(2))
+        assert abs(solution.residual) <= 1e-10
+        assert solution.a0 == pytest.approx(999999.3338333333, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("spectrum", [Spectrum([0.37]), Spectrum([0.2] * 50)],
                              ids=["single", "flat"])
     def test_exact_start_takes_one_pass(self, monkeypatch, spectrum, q):
-        # the moment-model start is the root itself for W = 1 and a flat spectrum
+        # the start is the root itself for W = 1 and a flat spectrum: the moment-model
+        # start, and at q = 1 the log-sum-exp root
         passes = self._count_passes(monkeypatch)
-        solution = solve_shift(spectrum, QParam(q), use_closed_forms=False)
+        solution = solve_shift(spectrum, QParam(q))
         assert len(passes) == 1
         assert abs(solution.residual) <= 1e-12
 
@@ -363,7 +367,7 @@ class TestSolveShift:
         passes = self._count_passes(monkeypatch)
         for spectrum in spectra:
             passes.clear()
-            solution = solve_shift(spectrum, QParam(1.5), use_closed_forms=False)
+            solution = solve_shift(spectrum, QParam(1.5))
             assert len(passes) == 1
             assert abs(solution.residual) <= 1e-12
 
@@ -402,7 +406,7 @@ class TestSolveShift:
     ], ids=["f-underflows", "h-overflows", "start-overflows", "mean-overflows"])
     def test_extreme_transform_gives_a_typed_result(self, q, values):
         try:
-            solution = solve_shift(Spectrum(values), QParam(q), use_closed_forms=False)
+            solution = solve_shift(Spectrum(values), QParam(q))
         except ConvergenceError:
             return  # the root lies closer to the endpoint than one ulp of a resolves
         assert abs(solution.residual) <= 1e-10
@@ -415,9 +419,8 @@ class TestSolveShift:
             if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
                 x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
             spectrum = Spectrum(x)
-            for closed in (True, False):
-                solution = solve_shift(spectrum, QParam(q), use_closed_forms=closed)
-                assert solution.residual == partition_value(solution.a0, spectrum, QParam(q)) - 1.0
+            solution = solve_shift(spectrum, QParam(q))
+            assert solution.residual == partition_value(solution.a0, spectrum, QParam(q)) - 1.0
 
     @staticmethod
     def _spy_lowest(monkeypatch):
@@ -450,7 +453,7 @@ class TestSolveShift:
         seen = self._spy_lowest(monkeypatch)
         for spectrum, q in cases:
             try:
-                solve_shift(spectrum, q, use_closed_forms=False)
+                solve_shift(spectrum, q)
             except ConvergenceError:
                 pass  # offset 1e8 with a span of 1e-3 can sit below the rounding of f
         assert len(seen) > 4 * len(cases)
@@ -460,15 +463,15 @@ class TestSolveShift:
     def test_one_error_state_per_solve(self, monkeypatch):
         rng = np.random.default_rng(71)
         x = rng.random(200)
-        cases = [(Spectrum(x), 0.5, True), (Spectrum(x), 1.0, True), (Spectrum(x), 1.0, False),
-                 (Spectrum(x * 1e-4), 2.0, True), (Spectrum([0.0, 1.0]), 2.0, False),
-                 (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2), 3.0, False),
+        cases = [(Spectrum(x), 0.5), (Spectrum(x), 1.0),
+                 (Spectrum(x * 1e-4), 2.0), (Spectrum([0.0, 1.0]), 2.0),
+                 (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 3.0)) ** 2), 3.0),
                  # ConvergenceError: f cannot resolve its root in doubles, and a Newton
                  # step rounds back to its point on the second pass
-                 (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 5.0)) ** 4), 5.0, False),
+                 (Spectrum(x * (0.25 / oracles.endpoint_sum(x, 5.0)) ** 4), 5.0),
                  # 33 passes through f's rounding noise, then ConvergenceError
-                 (Spectrum([0.0, 0.4, 1.3]), 1.0 - 1e-9, False),
-                 (Spectrum([-1e308, 1e308]), 0.5, False)]
+                 (Spectrum([0.0, 0.4, 1.3]), 1.0 - 1e-9),
+                 (Spectrum([-1e308, 1e308]), 0.5)]
         made, errstate = [], np.errstate
 
         def counted(**kwargs):
@@ -478,8 +481,8 @@ class TestSolveShift:
         monkeypatch.setattr(np, "errstate", counted)
         passes = self._count_passes(monkeypatch)
         most = 0
-        for spectrum, q, closed in cases:
-            for solve in (lambda: solve_shift(spectrum, QParam(q), use_closed_forms=closed),
+        for spectrum, q in cases:
+            for solve in (lambda: solve_shift(spectrum, QParam(q)),
                           lambda: shifted_distribution(spectrum, QParam(q))):
                 made.clear()
                 passes.clear()
@@ -491,7 +494,7 @@ class TestSolveShift:
                 most = max(most, len(passes))
         assert most >= 16
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("q", [0.5, 1.5])
     def test_only_stepping_passes_compute_the_slope(self, monkeypatch, q):
         # a pass that meets tol ends the iteration, so it needs no f': no divide
         # and no second sum; and no pass reduces the base for its minimum.  A span
@@ -520,19 +523,19 @@ class TestSolveShift:
         monkeypatch.setattr(np, "divide", spied_divide)
         monkeypatch.setattr(np, "minimum", Minimum())
         passes = self._count_passes(monkeypatch)
-        solution = solve_shift(spectrum, QParam(q), use_closed_forms=False)
+        solution = solve_shift(spectrum, QParam(q))
         steps = len(passes) - 1
         assert abs(solution.residual) <= 1e-12 and steps >= 1
         assert "minimum" not in events
         assert events.count("slope") == steps
-        assert events.count("divide") == (0 if q == 1.0 else steps)
+        assert events.count("divide") == steps
 
-    @pytest.mark.parametrize("values, q, closed", [
-        (np.linspace(0.0, 1.0, 30), 0.5, False),  # the Newton iteration
-        (np.linspace(0.0, 1.0, 30), 1.0, True),  # a closed form
-        ([0.0, 1.0], 2.0, False),  # the q > 1 domain endpoint, where f(endpoint) = 1
+    @pytest.mark.parametrize("values, q", [
+        (np.linspace(0.0, 1.0, 30), 0.5),  # the Newton iteration
+        (np.linspace(0.0, 1.0, 30), 1.0),  # from the q = 1 start, the closed-form root
+        ([0.0, 1.0], 2.0),  # the q > 1 domain endpoint, where f(endpoint) = 1
     ], ids=["generic", "closed-form", "endpoint"])
-    def test_nan_residual_is_not_a_solution(self, monkeypatch, values, q, closed):
+    def test_nan_residual_is_not_a_solution(self, monkeypatch, values, q):
         # the solve ignores invalid values, so a NaN f must fail its residual check
         kernel = shift._kernel_pass
 
@@ -541,14 +544,13 @@ class TestSolveShift:
 
         monkeypatch.setattr(shift, "_kernel_pass", poisoned)
         with pytest.raises(ConvergenceError):
-            solve_shift(Spectrum(values), QParam(q), use_closed_forms=closed)
+            solve_shift(Spectrum(values), QParam(q))
 
     def test_iteration_budget_is_respected(self, monkeypatch):
         # this solve takes 4 passes; after 3 its residual is 3e-6
         monkeypatch.setattr(shift, "_SHIFT_PASSES", 3)
         with pytest.raises(ConvergenceError):
-            solve_shift(Spectrum([0.0, 1.0, 2.0, 50.0]), QParam(0.5), tol=1e-15,
-                        use_closed_forms=False)
+            solve_shift(Spectrum([0.0, 1.0, 2.0, 50.0]), QParam(0.5), tol=1e-15)
 
 
 class TestShiftedDistribution:
@@ -571,7 +573,7 @@ class TestShiftedDistribution:
 
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_overflowing_span_below_one(self, q):
-        # x_i - a and the q = 1 closed form's x_min - x_i overflowed with a
+        # x_i - a and the q = 1 start's x_min - x_i overflowed with a
         # RuntimeWarning; the inf difference's term is exactly 0
         dist, solution = shifted_distribution(Spectrum([-1e308, 1e308]), QParam(q))
         assert dist.probs == (1.0, 0.0)
@@ -584,7 +586,7 @@ class TestShiftedDistribution:
 
     def test_probs_are_the_solves_own_last_pass(self, monkeypatch):
         rng = np.random.default_rng(53)
-        # W = 1, q = 1 and q = 2 take the closed forms
+        # W = 1, q = 1 and q = 2 start at their roots
         cases = [(Spectrum([0.3]), 2.5), (Spectrum(rng.random(40)), 1.0),
                  (Spectrum(rng.random(40) * 0.01), 2.0)]
         for q in (0.5, 1.5, 2.5, 3.0):
