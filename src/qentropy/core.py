@@ -26,6 +26,11 @@ from .errors import DomainError, EmptyError, NormalizationError, RangeError
 NORMALIZATION_TOL = 1e-9
 #: numpy's error state for a kernel pass, whose overflow, 0/0 and zero-base poles are expected
 _KERNEL_ERRORS = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+#: Within this distance of q = 1 the measure is summed through p^(q-1) - 1; see ``_numerator``.
+_NEAR_ONE = 0.125
+#: How far a normalized p may sum from 1 by rounding alone: p_i = w_i / sum(w) misses by up
+#: to 1 eps, and an outer product of two such by 2.5 eps.  See ``_numerator``.
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,12 @@ class Spectrum(_FrozenVector):
 class Distribution(_FrozenVector):
     """Probability vector on W microstates; validated, stored unrenormalized."""
 
+    _measured = None  # (q, the measure's numerator at q), recorded by the shift solve of p
+
     def __init__(self, probs: Iterable[float]):
         super().__init__(probs, "distribution")
         arr = self._array
-        if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0):  # rejects NaN
-            bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
-            raise RangeError(f"probability {float(bad)!r} outside [0, 1]")
+        _check_range(arr)
         total = float(np.add.reduce(arr))
         # the pairwise sum is within W eps of the exact one: only this close can fsum differ
         if abs(abs(total - 1.0) - NORMALIZATION_TOL) <= arr.size * 2.0**-52 * total:
@@ -147,6 +152,47 @@ class Distribution(_FrozenVector):
             raise NormalizationError(f"probabilities sum to {total!r}, not 1")
 
     probs = property(lambda self: self._tuple)  # built on first access, then cached
+
+    @classmethod
+    def _solved(cls, p: np.ndarray, q: float, numerator: float | None) -> "Distribution":
+        """The p of a shift solve at index q, taken over without a copy and made read-only.
+
+        The solve has just checked |sum p - 1| <= 1e-10 with this same ``np.add.reduce``,
+        within ``NORMALIZATION_TOL``, so only the range is checked again.  ``numerator``,
+        1 - sum p^q (-sum p ln p at q = 1) from the solve's last pass, is recorded unless None.
+        """
+        _check_range(p)
+        p.flags.writeable = False
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_array", p)
+        if numerator is not None:
+            object.__setattr__(self, "_measured", (q, numerator))
+        return self
+
+
+def _check_range(arr: np.ndarray) -> None:
+    """Raise :class:`RangeError` unless every probability lies in [0, 1]."""
+    if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0):  # rejects NaN
+        bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
+        raise RangeError(f"probability {float(bad)!r} outside [0, 1]")
+
+
+def _numerator(q: float, total, shortfall=0.0, rounding=_ROUNDING):
+    """The measure's numerator 1 - sum_i p_i^q, or -sum_i p_i ln p_i at q = 1, from ``total``.
+
+    ``total`` is sum_i p_i t_i, for t_i = ln p_i at q = 1, p_i^(q-1) where
+    |q - 1| >= ``_NEAR_ONE``, and p_i^(q-1) - 1 between, where ``shortfall`` is
+    1 - sum p.  1 - sum p^q loses about log2(1 / |q - 1|) bits to cancellation;
+    near q = 1, shortfall - total cancels nothing.  The shortfall is dropped while
+    within ``rounding``: divided by q (q - 1), the rounding of a normalized p would
+    swamp the measure.
+    """
+    if q == 1.0:
+        return -total
+    if abs(q - 1.0) >= _NEAR_ONE:
+        return 1 - total
+    shortfall *= abs(shortfall) > rounding
+    return shortfall - total
 
 
 def _deformed_exp(z, qm1: float, cutoff: bool = False, out=None, lowest: float | None = None):

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_log
+from .core import (Distribution, QParam, Spectrum, _NEAR_ONE, _ROUNDING, _deformed_log,
+                   _numerator as _from_total)
 from .errors import DomainError, RangeError, StepError
 from .shift import shifted_distribution
 
@@ -55,25 +56,31 @@ class SweepTable:
 
 
 def uncertainty(p: Distribution, q: QParam) -> float:
-    """The uncertainty measure I(p); >= 0, zero iff p is degenerate."""
-    return float(_measure(p.as_array(), q.q, q.q * (q.q - 1.0)))
+    """The uncertainty measure I(p); >= 0, zero iff p is degenerate.
+
+    For a p from :func:`shifted_distribution` at this q, the sum over p is the one that
+    the solve formed from its last kernel pass, so no pass over p follows.
+    """
+    return float(_measure(p.as_array(), q.q, q.q * (q.q - 1.0), _recorded(p, q.q)))
 
 
 def bg_entropy(p: Distribution) -> float:
     """Boltzmann-Gibbs entropy -sum p ln p with 0 ln 0 := 0."""
-    return float(_measure(p.as_array(), 1.0, 0.0))
+    return float(_measure(p.as_array(), 1.0, 0.0, _recorded(p, 1.0)))
 
 
-#: Within this distance of q = 1 the measure is summed through expm1; see ``_numerator``.
-_NEAR_ONE = 0.125
-#: How far a normalized p may sum from 1 by rounding alone: p_i = w_i / sum(w) misses by up
-#: to 1 eps, and an outer product of two such by 2.5 eps.  See ``_numerator``.
-_ROUNDING = 4.0 * np.finfo(float).eps
+def _recorded(p: Distribution, q: float):
+    """The numerator of the measure at q that the shift solve of p recorded, or None."""
+    measured = p._measured
+    return measured[1] if measured is not None and measured[0] == q else None
 
 
-def _measure(probs: np.ndarray, q: float, denominator: float) -> np.ndarray:
-    """(1 - sum_i p_i^q) / denominator, or -sum_i p_i ln p_i at q = 1, along the last axis."""
-    s = _numerator(probs, q)
+def _measure(probs: np.ndarray, q: float, denominator: float, numerator=None) -> np.ndarray:
+    """(1 - sum_i p_i^q) / denominator, or -sum_i p_i ln p_i at q = 1, along the last axis.
+
+    A ``numerator`` given is taken for 1 - sum_i p_i^q, and p is not read.
+    """
+    s = _numerator(probs, q) if numerator is None else numerator
     # "+ 0.0" normalizes a signed zero, as from the negative denominator at q < 1
     return (s if q == 1.0 else s / denominator) + 0.0
 
@@ -82,20 +89,18 @@ def _numerator(probs: np.ndarray, q: float, total=lambda terms: np.add.reduce(te
                rounding=_ROUNDING):
     """1 - sum_i p_i^q, or -sum_i p_i ln p_i at q = 1, with sums by ``total`` along the last axis.
 
-    1 - sum p^q loses about log2(1 / |q - 1|) bits to cancellation.  So within ``_NEAR_ONE``
-    of q = 1 it is summed as (1 - sum p) - sum p expm1((q - 1) ln p), where nothing cancels
-    and (q - 1) ln p < 94 cannot overflow.  The shortfall 1 - sum p is dropped while within
-    ``rounding``: divided by q (q - 1), the rounding of a normalized p would swamp the measure.
+    The terms are p^q, p ln p, or within ``_NEAR_ONE`` of q = 1 p expm1((q - 1) ln p),
+    where (q - 1) ln p < 94 cannot overflow; ``core._numerator`` combines their total.
     """
     if abs(q - 1.0) >= _NEAR_ONE:
-        return 1 - total(np.power(probs, q))
+        return _from_total(q, total(np.power(probs, q)))
     log_p = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
     if q == 1.0:  # in place: a fresh W-sized product costs as much as the log
-        return -total(np.multiply(probs, log_p, out=log_p))
+        return _from_total(q, total(np.multiply(probs, log_p, out=log_p)))
     shortfall = 1 - total(probs)
-    shortfall *= abs(shortfall) > rounding
     log_p *= q - 1.0
-    return shortfall - total(np.multiply(probs, np.expm1(log_p, out=log_p), out=log_p))
+    return _from_total(q, total(np.multiply(probs, np.expm1(log_p, out=log_p), out=log_p)),
+                       shortfall, rounding)
 
 
 def _rounded(x) -> float:
@@ -118,7 +123,7 @@ def tsallis_entropy(p: Distribution, q_tilde: float) -> float:
     qt = float(q_tilde)
     if not math.isfinite(qt) or qt <= 0.0:
         raise RangeError(f"tsallis index must be a finite real > 0, got {q_tilde!r}")
-    return float(_measure(p.as_array(), qt, qt - 1.0))
+    return float(_measure(p.as_array(), qt, qt - 1.0, _recorded(p, qt)))
 
 
 def compose(p_a: Distribution, p_b: Distribution, q: QParam) -> CompositionResult:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _slope
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _deformed_exp,
+                   _numerator, _slope)
 from .errors import ConvergenceError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
@@ -172,6 +173,20 @@ def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
     return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, work[1], lowest)
 
 
+def _pass_numerator(p: np.ndarray, base: np.ndarray, q: float, r: float) -> float | None:
+    """The measure's numerator 1 - sum p^q (-sum p ln p at q = 1) of a kernel pass, or None.
+
+    The base of the pass is p^(q-1), and ln p at q = 1, so the sum is one dot product.
+    Within ``_NEAR_ONE`` of q = 1 the base becomes p^(q-1) - 1 in place, which is exact
+    for a base in [0.5, 2], and r = sum p - 1 of the pass gives the shortfall.  None
+    where the dot is not finite, as where p = 0 meets an infinite base.
+    """
+    if q != 1.0 and abs(q - 1.0) < _NEAR_ONE:
+        base -= 1.0
+    total = float(np.dot(p, base))
+    return _numerator(q, total, -r) if math.isfinite(total) else None
+
+
 def _z(log_n: float, qm1: float) -> float:
     """Term i of f equals 1/n at a = x_i - _z(ln n, q - 1)."""
     return log_n if qm1 == 0.0 else -math.expm1(-qm1 * log_n) / qm1
@@ -210,7 +225,7 @@ def _model_start(x: np.ndarray, qm1: float, scratch: np.ndarray) -> float:
 
 
 def _solve(spectrum: Spectrum, q: QParam, tol: float):
-    """:func:`solve_shift`'s solve: the root a0 of f(a) = 1, and the kernel pass at a0.
+    """:func:`solve_shift`'s solve: the root a0 of f(a) = 1, the kernel pass at a0, its measure.
 
     The Newton iteration runs on h = (f^(q-1) - 1)/(q-1) (log f at
     q = 1), which has the sign of f - 1 and is nearly linear in a; it
@@ -222,18 +237,22 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     f - 1 is rounding noise, which no further pass resolves.  It begins
     at the log-sum-exp root at q = 1 and at :func:`_model_start`
     otherwise, clamped into the bracket, and takes at most
-    ``_SHIFT_PASSES`` passes.  Returns (solution, p) with p at
+    ``_SHIFT_PASSES`` passes.  Returns (solution, p, numerator) with p at
     ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
     iteration's best point came before its last pass, one more pass
     evaluates them there.  p lives in the solve's own workspace of two
-    arrays, which no later solve reuses.
+    arrays, which no later solve reuses.  numerator is the measure's
+    1 - sum p^q (:func:`_pass_numerator`), formed from the base that a
+    pass meeting the tolerance leaves in the workspace.  It is None where
+    the last pass missed the tolerance, a pass that for q != 1 writes the
+    slope over its base, or where it is not finite.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     qm1, x, x_min, x_max = q.q - 1.0, spectrum.as_array(), spectrum.x_min, spectrum.x_max
     if qm1 != 0.0:  # eps_q
         tol = max(tol, min(2.0**-53 / abs(qm1), 0.25 * RESIDUAL_BOUND))
-    last = None  # (a, p, f - 1) of the latest pass
+    last = None  # (a, p, f - 1, the measure's numerator or None) of the latest pass
     ext = x_max if qm1 > 0.0 else x_min  # its base is the smallest, by the same float operations
 
     def fd(a: float) -> tuple[float, float]:
@@ -242,13 +261,14 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
         p = _kernel_pass(x, a, qm1, lowest, work)
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
         r = float(np.add.reduce(p)) - 1.0
-        last = (a, p, r)
+        last = (a, p, r, None)
         if r == -1.0:  # f underflowed to 0, where log1p raises
             return (-1.0 / qm1 if qm1 > 0.0 else -math.inf), math.nan
         log_f = math.log1p(r)
         try:
             h = math.expm1(qm1 * log_f) / qm1 if qm1 != 0.0 else log_f
-            if abs(h) <= tol:  # the iteration stops here, so f' is not needed
+            if abs(h) <= tol:  # the iteration stops here: f' is not needed, and the base is left
+                last = (a, p, r, _pass_numerator(p, work[0], q.q, r))
                 return h, math.nan
             slope = _slope(p, work[0], qm1, lowest)
             return h, float(np.add.reduce(slope)) * math.exp((qm1 - 1.0) * log_f)
@@ -275,7 +295,7 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
                 if not abs(last[2]) <= RESIDUAL_BOUND:
                     raise ConvergenceError(f"endpoint residual {last[2]} above bound")
                 return (ShiftSolution(endpoint, last[2], (endpoint, endpoint), 0,
-                                      SolveMethod.BISECTION), last[1])
+                                      SolveMethod.BISECTION), last[1], last[3])
             lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
         if qm1 == 0.0:
             # the root itself, within an ulp: every term of the sum is at most 1, and one is 1
@@ -292,7 +312,7 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
             f"solver stopped with residual {last[2]} after {iterations} iterations"
         )
     return (ShiftSolution(a0, last[2], bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON),
-            last[1])
+            last[1], last[3])
 
 
 def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> ShiftSolution:
@@ -341,7 +361,11 @@ def shifted_distribution(spectrum: Spectrum, q: QParam) -> tuple[Distribution, S
     p is the kernel pass at a0 that the solve itself ends on, with
     :func:`solve_shift`'s defaults; no further pass evaluates it.  The
     probabilities come back in spectrum order and sum to 1 within the
-    solver residual bound.
+    solver residual bound.  The ``Distribution`` holds the solve's own
+    array, read-only and not copied; only its range is checked again, as
+    the solve has checked its sum.  It also records the numerator of the
+    measure at q that the solve formed from its last pass, which
+    :func:`~qentropy.entropy.uncertainty` reads in place of a pass over p.
     """
-    solution, p = _solve(spectrum, q, _SHIFT_TOL)
-    return Distribution(p), solution
+    solution, p, numerator = _solve(spectrum, q, _SHIFT_TOL)
+    return Distribution._solved(p, q.q, numerator), solution

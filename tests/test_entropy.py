@@ -1,6 +1,7 @@
 """Tests for the uncertainty measure, baselines, composition, and sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from qentropy import shift
 from qentropy import (
+    ConvergenceError,
     Distribution,
     QParam,
     RangeError,
+    SolveMethod,
     Spectrum,
     StepError,
     bg_entropy,
@@ -164,6 +168,109 @@ class TestBaselines:
         assert tsallis_entropy(half, 2.0) == pytest.approx(
             2.0 * uncertainty(half, QParam(2)), abs=1e-15
         )
+
+
+#: the q grid of the solved-measure tests: each q regime, and within 1e-5 of q = 1
+SOLVED_QS = [0.3, 0.5, 0.8, 1.0 - 1e-5, 1.0 + 1e-5, 1.0, 1.5, 2.0, 3.0, 10.0]
+
+
+def solved(values, q):
+    """shifted_distribution of ``values`` at q; q > 1 spectra are scaled to an endpoint sum of 0.25."""
+    x = np.asarray(values, dtype=float)
+    if q > 1.0 and oracles.endpoint_sum(x, q) > 0.25:
+        x = x.min() + (x - x.min()) * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+    return shifted_distribution(Spectrum(x), QParam(q))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSolvedMeasure:
+    """The measure of a solved p comes from the numerator its solve formed from its last pass."""
+
+    @staticmethod
+    def assert_agrees(dist, q):
+        """Each measure at q matches the one read from a copy of p, within 16 ulps; others are equal."""
+        copy = Distribution(dist.as_array().copy())
+        pairs = [(uncertainty(dist, QParam(q)), uncertainty(copy, QParam(q))),
+                 (tsallis_entropy(dist, q), tsallis_entropy(copy, q))]
+        if q == 1.0:
+            pairs.append((bg_entropy(dist), bg_entropy(copy)))
+        else:  # at another index nothing is recorded, and p itself is read
+            assert bg_entropy(dist) == bg_entropy(copy)
+        for recorded, direct in pairs:
+            assert abs(recorded - direct) <= 16 * math.ulp(direct)
+        assert uncertainty(dist, QParam(2.5)) == uncertainty(copy, QParam(2.5))
+
+    @pytest.mark.parametrize("q", SOLVED_QS)
+    def test_matches_the_measure_of_a_copy(self, q):
+        rng = np.random.default_rng(83)
+        recorded = 0
+        for _ in range(60):
+            w = int(math.exp(rng.uniform(0.0, math.log(301))))
+            try:
+                dist, _ = solved(rng.random(w) * math.exp(rng.uniform(math.log(0.1), math.log(5.0))), q)
+            except ConvergenceError:  # large q at large W; see ROADMAP item 1
+                continue
+            recorded += dist._measured is not None
+            self.assert_agrees(dist, q)
+        assert recorded >= 15
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 1e-5])
+    def test_matches_at_a_large_w(self, q):
+        dist, _ = solved(np.random.default_rng(89).random(100_000), q)
+        assert dist._measured is not None and dist._measured[0] == q
+        self.assert_agrees(dist, q)
+
+    def test_q_above_one_cutoff(self):
+        # the endpoint sum is a few ulps below 1, so the root lies within rounding of the endpoint
+        dist, solution = shifted_distribution(
+            Spectrum([0.27528775407735173, 1.0581696257967885, 2.025689319879405]), QParam(1.5))
+        assert solution.method is SolveMethod.BISECTION_THEN_NEWTON
+        assert dist.as_array()[2] == 0.0 and dist._measured is not None
+        self.assert_agrees(dist, 1.5)
+
+    def test_endpoint_root(self):
+        dist, solution = shifted_distribution(Spectrum([0.0, 1.0]), QParam(2))
+        assert solution.method is SolveMethod.BISECTION
+        assert dist.probs == (1.0, 0.0) and dist._measured is not None
+        assert uncertainty(dist, QParam(2)) == 0.0
+        self.assert_agrees(dist, 2.0)
+
+    @pytest.mark.parametrize("values, q", [
+        # the last pass misses the tolerance, and its Newton step rounds back to a0:
+        # it wrote the slope over its base
+        (np.random.default_rng(0).random(200), 3.0),
+        # p = 0 meets an infinite base
+        ([-1e308, 1e308], 0.5),
+    ])
+    def test_nothing_recorded(self, values, q):
+        x = np.asarray(values)
+        if q > 1.0:
+            x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+        dist, _ = shifted_distribution(Spectrum(x), QParam(q))
+        assert dist._measured is None
+        self.assert_agrees(dist, q)
+
+    def test_holds_the_last_pass_without_a_copy(self, monkeypatch):
+        passes, kernel = [], shift._kernel_pass
+        monkeypatch.setattr(shift, "_kernel_pass", lambda *args: passes.append(kernel(*args)) or passes[-1])
+        dist, _ = shifted_distribution(Spectrum(np.random.default_rng(101).random(1000)), QParam(0.5))
+        assert dist.as_array() is passes[-1]
+        assert not dist.as_array().flags.writeable
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 - 1e-5, 1.5])
+    def test_reads_no_w_sized_array(self, q):
+        w = 100_000
+        dist, _ = shifted_distribution(Spectrum(np.random.default_rng(97).uniform(0.0, 1e-6, w)),
+                                       QParam(q))
+        assert not dist.as_array().flags.writeable
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            uncertainty(dist, QParam(q))
+            tsallis_entropy(dist, q)
+            assert tracemalloc.get_traced_memory()[1] - before < 8 * w // 10
+        finally:
+            tracemalloc.stop()
 
 
 class TestMaxUncertainty:
