@@ -155,11 +155,13 @@ class Distribution(_FrozenVector):
 
     @classmethod
     def _solved(cls, p: np.ndarray, q: float, numerator: float | None) -> "Distribution":
-        """The p of a shift solve at index q, taken over without a copy and made read-only.
+        """The p of a solve at index q, taken over without a copy and made read-only.
 
-        The solve has just checked |sum p - 1| <= 1e-10 with this same ``np.add.reduce``,
-        within ``NORMALIZATION_TOL``, so only the range is checked again.  ``numerator``,
-        1 - sum p^q (-sum p ln p at q = 1) from the solve's last pass, is recorded unless None.
+        A shift solve has just checked |sum p - 1| <= 1e-10 with this same
+        ``np.add.reduce``, and a chart solve formed p = u / sum u, so sum p is
+        within ``NORMALIZATION_TOL`` of 1 and only the range is checked again.
+        ``numerator``, 1 - sum p^q (-sum p ln p at q = 1) from the solve's last
+        pass, is recorded unless None.
         """
         _check_range(p)
         p.flags.writeable = False
@@ -234,6 +236,41 @@ def _slope(p, base, qm1: float, lowest: float):
     if lowest <= 0.0:
         dp[p == 0.0] = np.power(0.0, 1.0 - qm1)
     return dp
+
+
+def _deformed_exp1p(t, qm1: float, cutoff: bool = False, w=None, lowest: float | None = None):
+    """The deformed exponential [1 + t_i]^(1/(q-1)) of a float array t, as exp(log1p(t)/(q-1)).
+
+    t = -(q-1) z is the base minus 1 for the argument z of :func:`_deformed_exp`,
+    and at ``qm1`` = q - 1 = 0 it is -z, where this is exp(t).  The rounding of
+    t enters once, where the power form carries the rounding of the base
+    1 - (q-1) z times 1/|q - 1|, so p keeps its relative accuracy as q -> 1.
+    p is written over t.  ``w``, an array the size of t, receives
+    p^(2-q) = exp(log1p(t) (2-q)/(q-1)) from the same logarithm, a copy of p
+    at q = 1.  A t below -1, a negative base, raises
+    :class:`DomainError`, or under ``cutoff`` (q > 1) counts as -1, where p is
+    0.  ``lowest``, the smallest t where the caller knows it, saves a pass.
+    The caller owns numpy's error state, which must be
+    ``np.errstate(**_KERNEL_ERRORS)``.
+    """
+    if qm1 == 0.0:
+        p = np.exp(t, out=t)
+        if w is not None:
+            np.copyto(w, p)
+        return p
+    if lowest is None:
+        lowest = np.minimum.reduce(t, None)
+    if lowest < -1.0:
+        if not cutoff:
+            raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
+        np.maximum(t, -1.0, out=t)
+    np.log1p(t, out=t)
+    if w is not None:
+        if qm1 == 1.0:
+            w.fill(1.0)  # p^0, also at p = 0, where the logarithm is -inf
+        else:
+            np.exp(np.multiply(t, (1.0 - qm1) / qm1, out=w), out=w)
+    return np.exp(np.divide(t, qm1, out=t), out=t)
 
 
 def _deformed_log(p, qm1: float):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp, _deformed_log,
-                   _slope)
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp,
+                   _deformed_exp1p, _deformed_log)
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -103,7 +103,12 @@ def mean_energy(p: Distribution, energies: Spectrum) -> float:
     """Expectation sum_i p_i eps_i."""
     if p.W != energies.W:
         raise ValueError("distribution and spectrum sizes differ")
-    return float((p.as_array() * energies.as_array()).sum())
+    return _mean_energy(p.as_array(), energies.as_array())
+
+
+def _mean_energy(p: np.ndarray, x: np.ndarray) -> float:
+    """sum_i p_i x_i of two arrays, as :func:`mean_energy` forms it."""
+    return float(np.add.reduce(p * x))
 
 
 def _uniform(W: int) -> Distribution:
@@ -118,15 +123,21 @@ _CAP = 1.0 - 1e-3
 class _Chart:
     """The maximizer at q on {beta eps_i} on one side of beta, one kernel pass per point.
 
+    Each pass also sums u and w against 1, d and d^2 in one matrix product.
+
     d_i = sign (eps_i - eps_ref) / 2^k lies in [0, 4), with eps_ref the
     extreme energy on the side ``sign`` (x_min for beta > 0) and 2^k a
-    power of two near the span, so no difference overflows.  At s >= 0,
-    u = e_q(s d) lies in [0, 1] with u_ref = 1, and p = u / sum u is the
-    maximizer at beta = sign s (sum u)^-(q-1) / 2^k: the base of p is
-    affine in eps.  For q > 1, ``s_max`` = 1/((q - 1) max d) is the
-    feasible boundary, where the farthest u reaches 0, and a span beyond a
-    double raises :class:`InfeasibleError`, as every feasible |beta| lies
-    below 1/((q - 1) span).  The energies must not be flat.
+    power of two near the span, so no difference overflows.  At
+    s >= 0, u = e_q(s d) lies in [0, 1] with u_ref = 1, and p = u / sum u is
+    the maximizer at beta = sign s (sum u)^-(q-1) / 2^k: the base of p is
+    affine in eps.  A pass forms u and w = u^(2-q) as exponentials of
+    log1p((1 - q) s d) (:func:`~qentropy.core._deformed_exp1p`), so that u
+    keeps its relative accuracy as q -> 1.  For q > 1,
+    ``s_max`` = 1/((q - 1) max d) is the feasible boundary, where the
+    farthest u reaches 0; the pass counts the bases that rounding leaves
+    below 0 there as 0.  A span beyond a double raises
+    :class:`InfeasibleError` for q > 1, as every feasible |beta| lies below
+    1/((q - 1) span).  The energies must not be flat.
     """
 
     def __init__(self, q: float, energies: Spectrum, sign: float):
@@ -136,19 +147,34 @@ class _Chart:
                                   "overflows a double")
         k = min(max(math.frexp(span)[1], -1021), 1023) if math.isfinite(span) else 1023
         self.qm1, self.sign, self.energies, self.scale = q - 1.0, sign, energies, 2.0**k
+        self.c = -(self.qm1 or 1.0)
         self.ref, self.unit = energies.x_min if sign > 0.0 else energies.x_max, sign / self.scale
-        self.d = np.subtract(energies.as_array() * self.unit, self.ref * self.unit)
-        self.u, self.z = np.empty(energies.W), np.empty(energies.W)
-        self.d_max = float(np.maximum.reduce(self.d))
+        self.powers = np.empty((3, energies.W))  # 1, d and d^2, for one product per pass
+        self.powers[0] = 1.0
+        self.d = np.subtract(energies.as_array() * self.unit, self.ref * self.unit,
+                             out=self.powers[1])
+        np.multiply(self.d, self.d, out=self.powers[2])
+        self.uw = np.empty((2, energies.W))
+        self.u, self.w = self.uw
+        # the largest d, at the far end by the same float operations, as rounding is monotone
+        far = energies.x_max if sign > 0.0 else energies.x_min
+        self.d_max = far * self.unit - self.ref * self.unit
         self.s_max = 1.0 / (self.qm1 * self.d_max) if self.qm1 > 0.0 else math.inf
 
     def __call__(self, s: float):
-        """(u, u^(2-q), sum u) at s; the next pass overwrites both arrays."""
-        lowest = (self.d_max * s) * -self.qm1 + 1.0 if self.qm1 > 0.0 else 1.0  # 1 at d = 0
-        u = _deformed_exp(np.multiply(self.d, s, out=self.z), self.qm1, True, self.u, lowest)
-        w = _slope(u, self.z, self.qm1, lowest)
-        self.s, self.total = s, float(np.add.reduce(u))
-        return u, w, self.total
+        """(u, u^(2-q), sum u) at s; the next pass overwrites both arrays.
+
+        ``sums`` holds (sum u, sum u d, sum u d^2) and (sum w, sum w d, sum w d^2)
+        from one matrix product.
+        """
+        # t = (s d)(1 - q), the base minus 1, and -s d at q = 1; its smallest value, by the
+        # same two roundings, lies at d_max for q > 1 and at d = 0 for q < 1
+        t = np.multiply(np.multiply(self.d, s, out=self.u), self.c, out=self.u)
+        lowest = (self.d_max * s) * self.c if self.qm1 > 0.0 else 0.0
+        u = _deformed_exp1p(t, self.qm1, True, self.w, lowest)
+        self.sums = np.dot(self.uw, self.powers.T).tolist()
+        self.s, self.total = s, self.sums[0][0]
+        return u, self.w, self.total
 
     def probs(self, s: float) -> np.ndarray:
         """p = u / sum u at s, written over u: the latest pass's, or one more pass at s."""
@@ -156,13 +182,15 @@ class _Chart:
             self(s)
         return np.divide(self.u, self.total, out=self.u)
 
-    def energy(self, mean_d: float) -> float:
-        """The mean energy eps_ref + sign 2^k D at D = sum u d / sum u."""
-        return self.ref + self.sign * self.scale * mean_d
-
     def beta(self) -> float:
         """beta at the latest pass, with the power taken in logs; RangeError beyond a double."""
-        beta = self.s * math.exp(-self.qm1 * math.log(self.total)) / self.scale
+        power = -self.qm1 * math.log(self.total)
+        beta = self.s * math.exp(power) / self.scale
+        if self.s > 0.0 and not 0.0 < beta < math.inf:  # a factor beyond a double: all in logs
+            try:
+                beta = math.exp(math.log(self.s) + power - math.log(self.scale))
+            except OverflowError:
+                beta = math.inf
         if not 0.0 < beta < math.inf:
             raise RangeError(f"the multiplier at s = {self.s} lies beyond a double")
         return self.sign * beta
@@ -175,7 +203,7 @@ class _Chart:
         return _CAP * self.s_max * math.exp(-self.qm1 * math.log(total)) / self.scale
 
 
-#: |U - target| at which the beta solve stops, and its budget of probes
+#: |U - target| that every beta solve meets, and its budget of probes
 _BETA_TOL, _BETA_PROBES = 1e-10, 200
 
 
@@ -184,23 +212,41 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
 
     The target must lie strictly inside the open energy hull (with a
     one-point spectrum only the single energy itself is allowed, at
-    beta = 0).  The solve runs on the s of a :class:`_Chart` on the side
-    of beta that the sign of U(0) - target picks, where the mean energy
-    U = eps_ref + sign 2^k D, D = sum u d / sum u, moves strictly towards
-    eps_ref as s grows, with dD/ds = -(sum w d^2 - D sum w d) / sum u for
-    w = u^(2-q) from the same kernel pass.  s = 0 is solved in closed
-    form (u = w = 1).  The first probe is the Newton step from there,
-    clipped for q > 1 to ``s_max``; s doubles from it until target - U
-    changes sign, and bracketed Newton steps finish once
-    |U - target| <= ``_BETA_TOL``.  A root whose beta lies beyond ``_CAP``
-    of the feasible boundary is out of reach.
+    beta = 0).  beta = 0 is returned where the target equals U(0), the
+    plain mean of the energies, to their rounding, one ulp of the largest
+    |eps|.  Otherwise the solve runs on the s of one :class:`_Chart`, on the
+    side of beta that the sign of U(0) - target picks.  There the mean
+    energy U = eps_ref + sign 2^k D, D = sum u d / sum u, moves strictly
+    towards eps_ref as s grows, with dD/ds = -(sum w d^2 - D sum w d) / sum u
+    for w = u^(2-q) from the same kernel pass.
+
+    s = 0 costs no pass, as u = w = 1 there.  The first probe is the
+    smallest positive root of D's second-order expansion at s = 0,
+    D(s) ~ mu1 - kappa2 s + c2 s^2 with c2 = (1 - q/2)(mu3 - mu1 mu2) - mu1 kappa2
+    for the moments mu_k and the variance kappa2 of d, or the Newton step
+    from s = 0 where that root is not real and positive.  For q > 1 it is
+    clipped to ``s_max``, and s doubles from it until target - U changes
+    sign.  Bracketed Newton steps start at the end of the bracket with the
+    smaller |target - U| and stop once |D* - D| <= ``_BETA_TOL`` / max(1, 2^k):
+    |U - target| <= ``_BETA_TOL`` for spans above 1/2, and the same share of
+    2^k below, so that scaling the energies and the target by c gives beta / c
+    and the same p.
+
+    The returned p always meets the contract |mean_energy(p) - target| <=
+    ``_BETA_TOL``, with :func:`mean_energy`'s own sum: a probe that meets the
+    stop rule, or whose U lies within 4 ulps of the largest |eps| of the
+    target, where rounding hides its side, is taken where that sum meets the
+    contract, and the steps go on from that sum where it does not.  Where the steps end short of the
+    stop rule, the root lying between adjacent floats of s, their best probe
+    is taken if |U - target| <= ``_BETA_TOL`` there too, unless the bracket
+    still ends at ``s_max``, where the farthest u is cut off.  A root whose
+    beta lies beyond ``_CAP`` of the feasible boundary is out of reach.
 
     Raises :class:`RangeError` for targets outside the hull and for a
     beta beyond a double, :class:`InfeasibleError` for q > 1 on a
     spectrum whose span overflows a double, :class:`BracketError` when no
     sign change exists in the feasible range, and
-    :class:`ConvergenceError` when ``_BETA_PROBES`` probes leave the
-    target missed.
+    :class:`ConvergenceError` when no probe meets the contract.
     """
     target_u = float(target_u)
     if not math.isfinite(target_u):
@@ -216,28 +262,63 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
             f"target {target_u} outside the open hull ({energies.x_min}, {energies.x_max})"
         )
 
-    W = energies.W
-    chart = _Chart(q.q, energies, 1.0)
-    if target_u > chart.energy(float(np.add.reduce(chart.d)) / W):
-        chart = _Chart(q.q, energies, -1.0)  # the target lies on the side of beta < 0
-    d, mean = chart.d, float(np.add.reduce(chart.d)) / W
-    g0, d2 = chart.sign * (target_u - chart.energy(mean)), np.multiply(d, d)
-    if abs(g0) <= _BETA_TOL:
-        return 0.0, _uniform(W)
-    solved = {}  # s -> (sign (target - U), its slope) of each probe
+    W, x, largest = energies.W, energies.as_array(), max(-energies.x_min, energies.x_max)
+    tie = 2.0**-52 * largest  # an ulp of the largest |eps|
+    # U(0), the plain mean, picks beta's side, where its sum cannot overflow; the chart's
+    # own mean corrects the side where it could, or where rounding picked it
+    plain = float(np.add.reduce(x)) / W if W * largest < 1e308 else energies.x_min
+    sign = 1.0 if target_u < plain else -1.0
+    for sign in (sign, -sign):
+        chart = _Chart(q.q, energies, sign)
+        level = (target_u - chart.ref) * chart.unit  # D*, in the chart's units
+        mu1, mu2, mu3 = (np.dot(chart.powers, chart.d) / W).tolist()  # moments of d
+        g0 = level - mu1  # D* - D(0), below 0 on beta's side
+        if g0 * chart.scale <= tie:
+            break
+
+    def uniform() -> tuple[float, Distribution]:
+        """beta = 0 with p = 1/W, where its mean energy meets the target."""
+        p = _uniform(W)
+        if not abs(mean_energy(p, energies) - target_u) <= _BETA_TOL:
+            raise ConvergenceError(f"the uniform p misses the target {target_u} by more "
+                                   f"than {_BETA_TOL}")
+        return 0.0, p
+
+    if abs(g0) * chart.scale <= tie:
+        return uniform()
+    # g = D* - D(s), increasing in s; |g| <= tol is |U - target| <= _BETA_TOL above 2^k = 1.
+    # Within 4 ulps of the largest |eps| the rounding of U hides the sign of g, so there
+    # mean_energy decides
+    tol = _BETA_TOL / max(1.0, chart.scale)
+    close = max(tol, 4.0 * tie / chart.scale)
+    solved, found = {}, []  # s -> (g, its slope) of each probe; the accepted (s, p)
 
     def fd(s: float) -> tuple[float, float]:
-        """sign (target - U(s)), increasing in s, and its slope; one pass per new s."""
+        """D* - D(s) and its slope, one pass per new s; mean_energy decides close to D*."""
         if s not in solved:
-            u, w, su = chart(s)
-            mean_d, swd = float(np.dot(u, d)) / su, float(np.dot(w, d))
-            solved[s] = (chart.sign * (target_u - chart.energy(mean_d)),
-                         chart.scale * (float(np.dot(w, d2)) - mean_d * swd) / su)
+            u, _, su = chart(s)
+            (_, sud, _), (_, swd, swd2) = chart.sums
+            mean_d = sud / su
+            g = level - mean_d
+            if abs(g) <= close:
+                p = np.divide(u, su)
+                miss = chart.sign * (target_u - _mean_energy(p, x))
+                if abs(miss) <= _BETA_TOL:  # the steps stop here
+                    found.append((s, p))
+                    g = 0.0
+                else:  # they step on from U as mean_energy forms it, above tol
+                    g = miss / chart.scale
+            solved[s] = (g, (swd2 - mean_d * swd) / su)
         return solved[s]
 
-    centred = np.subtract(d, mean, out=chart.z)
-    newton = -g0 / chart.scale * W / float(np.dot(centred, centred))
-    near, reach = 0.0, newton if 0.0 < newton < math.inf else 1.0
+    # u = w = 1 at s = 0, so its point costs no pass; the variance of d is at least
+    # max d^2 / 2W, far above the rounding of mu2 - mu1^2
+    k2 = mu2 - mu1 * mu1
+    c2 = (1.0 - 0.5 * q.q) * (mu3 - mu1 * mu2) - mu1 * k2
+    solved[0.0] = (g0, k2)
+    disc = k2 * k2 + 4.0 * g0 * c2  # of g0 + k2 s - c2 s^2 = 0
+    first = -2.0 * g0 / (k2 + math.sqrt(disc)) if disc >= 0.0 else math.nan
+    near, reach = 0.0, first if 0.0 < first < math.inf else -g0 / k2
     # for q > 2, w overflows where u nears the cutoff
     with np.errstate(**_KERNEL_ERRORS):
         while True:
@@ -248,15 +329,26 @@ def solve_beta(q: QParam, energies: Spectrum, target_u: float) -> tuple[float, D
                 raise BracketError(f"no sign change for target {target_u} within the "
                                    "feasible beta range")
             near, reach = far, 2.0 * reach
-        s, g, _, _ = _newton_in_bracket(fd, far, near, far, _BETA_TOL, _BETA_PROBES)
-        if not abs(g) <= _BETA_TOL:
-            raise ConvergenceError(f"beta solve stalled at |U - target| = {abs(g)} "
-                                   f"for target {target_u}")
-        dist, beta = Distribution(chart.probs(s)), chart.beta()
+        start = near if abs(solved[near][0]) < abs(solved[far][0]) else far
+        s, g, (_, hi), _ = _newton_in_bracket(fd, start, near, far, tol, _BETA_PROBES)
+        if found and found[-1][0] == s:
+            p = found[-1][1]
+        else:  # s = 0, or ended short of tol: mean_energy decides, but not at the cut-off
+            if not (abs(g) <= tol or hi < chart.s_max and abs(g) * chart.scale <= _BETA_TOL):
+                raise ConvergenceError(f"beta solve stalled at |U - target| = "
+                                       f"{abs(g) * chart.scale} for target {target_u}")
+            if s == 0.0:
+                return uniform()
+            if chart.s != s:
+                chart(s)
+            p = np.divide(chart.u, chart.total)
+            if not abs(_mean_energy(p, x) - target_u) <= _BETA_TOL:
+                raise ConvergenceError(f"beta solve missed the target {target_u}")
+        beta = chart.beta()
     # beta / cap <= s / s_max, as sum u falls while s grows
     if s > _CAP * chart.s_max and abs(beta) > chart.cap():
         raise BracketError(f"target {target_u} needs a beta beyond the feasible cap")
-    return beta, dist
+    return beta, Distribution._solved(p, q.q, None)
 
 
 def _stationarity(q: QParam, energies: Spectrum, beta: float, dist: Distribution,
@@ -317,7 +409,10 @@ def escort_distribution(
 
     ``residual`` is the largest change of p under one undamped map
     application; above ``tol`` it raises :class:`ConvergenceError`, and a
-    negative bracket there :class:`DomainError`.  No root below the
+    negative bracket there :class:`DomainError`.  The probes and the map
+    application form every power through log1p, as the chart does, so that
+    neither G nor the residual carries the rounding of a bracket times
+    1/|1 - q_tilde| as q_tilde -> 1.  No root below the
     clipped end raises :class:`InfeasibleError` when the lower end of b's
     range lies beyond the cap already, else :class:`BracketError`; so does
     q_tilde < 1 on a spectrum whose span overflows a double (the former).
@@ -345,15 +440,15 @@ def escort_distribution(
     def fd(log_s: float) -> tuple[float, float]:
         if log_s not in solved:
             u, w, su = chart(math.exp(min(log_s, _LOG_S_MAX)))
-            sw, swd = float(np.add.reduce(w)), float(np.dot(w, d))
+            _, (sw, swd, _) = chart.sums
             svd = float(np.dot(np.divide(np.multiply(w, w, out=v), u, out=v), d))  # u^(2qt-1)
             solved[log_s] = (log_s + 2.0 * math.log(sw) - (1.0 + qt) * math.log(su) - level,
                              1.0 - chart.s * (2.0 * qt * svd / sw - (1.0 + qt) * swd / su))
         return solved[log_s]
 
     def fb(log_s: float) -> tuple[float, float]:
-        u, w, su = chart(math.exp(log_s))  # log(b / cap), rising in log s
-        return math.log(abs(chart.beta()) / cap), 1.0 + qm1 * chart.s * float(np.dot(w, d)) / su
+        su = chart(math.exp(log_s))[2]  # log(b / cap), rising in log s
+        return math.log(abs(chart.beta()) / cap), 1.0 + qm1 * chart.s * chart.sums[1][1] / su
 
     # |G| within tol / 100 leaves the map residual far inside tol.  A clipped end is
     # probed once the root lies above the start: near the cap, c and so G fall again
@@ -375,7 +470,8 @@ def escort_distribution(
         weights = np.power(p, qt)
         c = float(np.add.reduce(weights))
         arg = np.subtract(d, float(np.dot(weights, d)) / c)
-        mapped = _deformed_exp(np.multiply(arg, abs(beta) * chart.scale / c, out=arg), qm1)
+        t = np.multiply(arg, abs(beta) * chart.scale / c, out=arg)  # x_i - xbar over c
+        mapped = _deformed_exp1p(np.multiply(t, -(qm1 or 1.0), out=t), qm1)
         residual = float(np.abs(mapped / mapped.sum() - p).max())
     if not residual <= tol:
         raise ConvergenceError(f"escort solve left a map residual of {residual}")

@@ -173,9 +173,9 @@ def test_overflowing_span_gives_one_infeasible_report(capsys, spectrum_file, arg
 ], ids=["maxent", "escort"])
 def test_large_index_gives_one_report(capsys, spectrum_file, argv, values):
     # powers to q - 1 and W^(2(q_tilde - 1)) overflowed a double with a traceback.
-    # solve_beta now returns beta = 0 with p = 1/W, but 0.01^199 underflows, so no
-    # double a0 has f(a0) = 1 and the shift solve for one raises; the escort root
-    # lies beyond a double s.  Both are typed: one infeasible report.
+    # The maxent target needs bases near 99^-199, below the smallest double, so no
+    # probe of solve_beta meets it; the escort root lies beyond a double s.  Both
+    # raise typed errors: one infeasible report.
     spectrum = spectrum_file(values)
     code, lines, err = run_in_process(capsys, [arg.format(spectrum=spectrum) for arg in argv])
     assert_contract(code, lines, err, 2)

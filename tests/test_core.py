@@ -17,8 +17,8 @@ from qentropy import (
     Spectrum,
     varentropy_residual,
 )
-from qentropy.core import (NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp, _deformed_log,
-                           _slope)
+from qentropy.core import (NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp, _deformed_exp1p,
+                           _deformed_log, _slope)
 from qentropy.maxent import _stationarity
 
 # q values away from the removable q = 1 point, plus the exact classical case
@@ -166,6 +166,55 @@ class TestDeformedExpKernel:
     def test_strict_mode_rejects_a_negative_base(self, q):
         with pytest.raises(DomainError):
             _deformed_exp(np.array([0.0, 4.0 / (q - 1.0)]), q - 1.0)
+
+
+class TestLog1pKernel:
+    """The chart's kernel: p and p^(2-q) as exponentials of log1p(t), t the base minus 1."""
+
+    @pytest.fixture(autouse=True)
+    def _error_state(self):
+        with np.errstate(**_KERNEL_ERRORS):  # the kernel's callers own numpy's error state
+            yield
+
+    @staticmethod
+    def _pass(t, qm1, cutoff=False):
+        w = np.empty(t.size)
+        p = _deformed_exp1p(t, qm1, cutoff, w)
+        return p, (p if qm1 == 0.0 else w)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_matches_the_power_form(self, q):
+        base = np.random.default_rng(int(q * 10)).uniform(1e-3, 20.0, 5000)
+        z = -np.log(base) if q == 1.0 else (1.0 - base) / (q - 1.0)
+        p, w = self._pass(-z if q == 1.0 else base - 1.0, q - 1.0)
+        want = _deformed_exp(z.copy(), q - 1.0)
+        # both forms round an exponent |ln p| <= 10 here, to about 10 ulps of p
+        np.testing.assert_allclose(p, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(w, np.power(want, 2.0 - q), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("qm1", [-1e-12, -1e-9, 1e-9, 1e-12])
+    def test_keeps_its_accuracy_near_q_one(self, qm1):
+        # ln p = log1p(-qm1 z) / qm1 = -z - qm1 z^2 / 2 + O(qm1^2 z^3): the power form
+        # carries the base's rounding times 1 / |qm1| instead, 1e-4 at qm1 = 1e-12
+        z = np.linspace(0.0, 10.0, 1001)
+        p, w = self._pass(-qm1 * z, qm1)
+        want = np.exp(-z - 0.5 * qm1 * z * z)
+        np.testing.assert_allclose(p, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(w, want * np.exp(qm1 * z), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("q, w_at_zero", [(1.5, 0.0), (2.0, 1.0), (3.0, math.inf)])
+    def test_cut_off_bases(self, q, w_at_zero):
+        # bases 1, 0 and a rounding error below 0 at the q > 1 boundary
+        t = np.array([0.0, -1.0, -1.0 - 2.0**-52])
+        p, w = self._pass(t, q - 1.0, cutoff=True)
+        assert p.tolist() == [1.0, 0.0, 0.0]
+        assert w.tolist() == [1.0, w_at_zero, w_at_zero]
+
+    @pytest.mark.parametrize("q", [0.5, 1.5, 3.0])
+    def test_strict_mode_rejects_a_negative_base(self, q):
+        with pytest.raises(DomainError):
+            _deformed_exp1p(np.array([0.0, -1.0 - 2.0**-52]), q - 1.0)
+        assert _deformed_exp1p(np.array([0.0, -1.0]), q - 1.0)[0] == 1.0  # a zero base is not
 
 
 class TestInverseQFactor:
