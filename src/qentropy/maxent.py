@@ -416,6 +416,8 @@ def escort_distribution(
     clipped end raises :class:`InfeasibleError` when the lower end of b's
     range lies beyond the cap already, else :class:`BracketError`; so does
     q_tilde < 1 on a spectrum whose span overflows a double (the former).
+    ``p`` holds the chart's p = u / sum u of the root's pass, read-only and
+    not copied, as :func:`solve_beta` hands over its own.
     """
     qt = float(q_tilde)
     if not math.isfinite(qt) or qt <= 0.0:
@@ -475,4 +477,4 @@ def escort_distribution(
         residual = float(np.abs(mapped / mapped.sum() - p).max())
     if not residual <= tol:
         raise ConvergenceError(f"escort solve left a map residual of {residual}")
-    return EscortSolution(Distribution(p), residual, len(solved), True)
+    return EscortSolution(Distribution._solved(p, 2.0 - qt, None), residual, len(solved), True)

@@ -126,6 +126,23 @@ def _endpoint_sum(x: np.ndarray, x_max: float, qm1: float) -> float:
     return float(np.add.reduce(np.power(gaps, 1.0 / qm1, out=gaps)))
 
 
+def _certainly_feasible(w: int, span: float, qm1: float) -> bool:
+    """Whether (W - 1) (qm1 span)^(1/qm1) <= 1/2 certifies an endpoint sum below 1/2.
+
+    The x_max term of :func:`_endpoint_sum` is exactly 0, and each other
+    term is at most the scalar power here: its rounded base qm1 (x_max - x_i)
+    is at most qm1 span, rounded by the same float operations, under the
+    same exponent.  The bound sits a relative 2^-30 under 1/2, for the
+    roundings of the powers and the sum.  It is False, and the exact sum
+    decides, where qm1 span is 0 (W = 1, a flat spectrum, or an underflow),
+    and, with no power taken, where it is 1 or more, inf included: the
+    x_min term alone is then at least 1.  Below 1 the power cannot
+    overflow, and where it underflows it is 0.
+    """
+    t = span * qm1
+    return 0.0 < t < 1.0 and (w - 1.0) * t ** (1.0 / qm1) <= 0.5 - 2.0**-31
+
+
 def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter: int):
     """Root of an increasing g on [lo, hi], given g(lo) <= 0 <= g(hi).
 
@@ -245,7 +262,12 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     1 - sum p^q (:func:`_pass_numerator`), formed from the base that a
     pass meeting the tolerance leaves in the workspace.  It is None where
     the last pass missed the tolerance, a pass that for q != 1 writes the
-    slope over its base, or where it is not finite.
+    slope over its base, or where it is not finite.  For q > 1 the exact
+    endpoint sum (:func:`_endpoint_sum`), one power per state, decides
+    feasibility only where :func:`_certainly_feasible` cannot bound it
+    below 1/2 in O(1): near q = 1 nearly every one of those powers
+    underflows, on numpy's slow path.  Below 1/2 the solve is feasible
+    and its root is not the endpoint, as the exact sum would have found.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -283,9 +305,13 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
     # for q <= 1, and whose endpoint terms make q > 1 infeasible
     with np.errstate(**_KERNEL_ERRORS):
-        endpoint_value = _endpoint_sum(x, x_max, qm1) if qm1 > 0.0 else 0.0
-        if not endpoint_value <= 1.0:
-            raise InfeasibleError(f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
+        # a certified endpoint sum is below 1/2: feasible, and no endpoint root
+        endpoint_value = 0.0
+        if qm1 > 0.0 and not _certainly_feasible(x.size, x_max - x_min, qm1):
+            endpoint_value = _endpoint_sum(x, x_max, qm1)
+            if not endpoint_value <= 1.0:
+                raise InfeasibleError(
+                    f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
         work = (np.empty(x.size), np.empty(x.size))  # fd's workspace
         if qm1 > 0.0:
             endpoint = x_max - 1.0 / qm1
@@ -345,8 +371,13 @@ def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> Shift
     lies within half an ulp of it.  ``iterations`` counts those kernel
     passes, at least 1, and ``residual`` is f(a0) - 1 itself.  A q > 1
     root on the domain endpoint is taken as is, with 0 iterations and
-    method ``BISECTION``.  numpy's overflow, division and invalid-value
-    errors are ignored throughout the solve.
+    method ``BISECTION``.  Whether a q > 1 root exists is decided first in
+    O(1): where (W - 1)(qm1 span)^(1/qm1) <= 1/2, every term of the endpoint
+    sum but the zero one at x_max is at most (qm1 span)^(1/qm1), so the sum
+    is below 1/2.  Only elsewhere is the exact sum formed, whose powers
+    near q = 1 nearly all underflow and cost several times a kernel pass.
+    numpy's overflow, division and invalid-value errors are ignored
+    throughout the solve.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes

@@ -610,6 +610,20 @@ class TestEscort:
                 for beta in (-2.0, 0.5, 4.0):
                     assert escort_distribution(q_tilde, energies, beta).residual <= 1e-10
 
+    def test_p_is_the_charts_array_read_only(self, monkeypatch):
+        arrays, probs = [], maxent._Chart.probs
+
+        def spied(chart, s):
+            arrays.append(probs(chart, s))
+            return arrays[-1]
+
+        monkeypatch.setattr(maxent._Chart, "probs", spied)
+        for q_tilde, beta in ((0.8, 1.0), (1.5, 50.0), (1.0, -2.0)):
+            solution = escort_distribution(q_tilde, Spectrum([0.0, 0.3, 1.0]), beta)
+            assert solution.p.as_array() is arrays[-1]
+            assert not solution.p.as_array().flags.writeable
+            assert abs(math.fsum(solution.p.probs) - 1.0) <= 1e-15
+
     def test_flat_energies_converge_immediately(self):
         solution = escort_distribution(0.7, Spectrum([0.3, 0.3, 0.3]), 2.0)
         np.testing.assert_allclose(solution.p.as_array(), 1.0 / 3.0, rtol=0, atol=1e-15)

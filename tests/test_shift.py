@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from qentropy import shift
@@ -12,6 +14,7 @@ from qentropy import (
     ConvergenceError,
     DomainError,
     InfeasibleError,
+    QentropyError,
     QParam,
     SingularityError,
     SolveMethod,
@@ -170,6 +173,85 @@ class TestFeasibility:
         assert not rep.feasible
 
 
+class TestFeasibilityCertificate:
+    """The O(1) bound (W - 1) (qm1 span)^(1/qm1) <= 1/2 that spares a q > 1 solve the exact sum."""
+
+    @staticmethod
+    def _outcome(spectrum, q):
+        try:
+            solution, p, numerator = shift._solve(spectrum, QParam(q), shift._SHIFT_TOL)
+        except QentropyError as exc:  # the same exception, with the same message
+            return type(exc), str(exc)
+        return solution, p.tobytes(), numerator
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-9, 1.0 + 1e-5, 1.001, 1.05])
+    def test_near_one_forms_no_endpoint_sum(self, monkeypatch, q):
+        rng = np.random.default_rng(89)
+        spectra = [recipe_spectrum(rng, q) for _ in range(60)]
+        spectra += [Spectrum(1e4 + spectrum.as_array()) for spectrum in spectra[:20]]
+        spectra += [Spectrum([0.37]), Spectrum([0.7, 0.7, 0.7])]
+        calls, exact = [], shift._endpoint_sum
+
+        def counted(*args):
+            calls.append(None)
+            return exact(*args)
+
+        monkeypatch.setattr(shift, "_endpoint_sum", counted)
+        certified = [self._outcome(spectrum, q) for spectrum in spectra]
+        # W = 1 and a flat spectrum have no certificate and form the exact sum, which is 0
+        assert len(calls) == 2
+        monkeypatch.setattr(shift, "_certainly_feasible", lambda *args: False)
+        exact_first = [self._outcome(spectrum, q) for spectrum in spectra]
+        assert len(calls) == 2 + len(spectra)
+        assert certified == exact_first
+        # within 1e-9 of q = 1 most of these raise ConvergenceError at the rounding floor
+        assert any(isinstance(outcome[0], shift.ShiftSolution) for outcome in certified)
+
+    @given(w=st.integers(min_value=1, max_value=300),
+           log_span=st.floats(min_value=-300.0, max_value=300.0),
+           q=st.floats(min_value=1.0, max_value=50.0, exclude_min=True),
+           offset=st.floats(min_value=-1e6, max_value=1e6),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_certified_endpoint_sum_is_at_most_one_half(self, w, log_span, q, offset, seed):
+        # about half the states at x_min, whose terms each reach the bound's largest term
+        u = np.random.default_rng(seed).random(w)
+        u[1:][u[1:] < 0.5] = 0.0
+        u[0] = 1.0
+        spectrum = Spectrum(offset + 10.0**log_span * u)
+        if shift._certainly_feasible(w, spectrum.x_max - spectrum.x_min, q - 1.0):
+            assert feasibility(spectrum, QParam(q)).endpoint_value <= 0.5
+
+    def test_certified_endpoint_sum_at_the_bound(self):
+        # spans within a relative 1e-9 of the bound, W - 1 states at x_min and one at x_max
+        rng = np.random.default_rng(97)
+        held = 0
+        for _ in range(3000):
+            w, q = int(rng.integers(2, 301)), 1.0 + math.exp(rng.uniform(-34.5, math.log(49)))
+            qm1 = q - 1.0
+            span = math.exp(qm1 * (math.log(0.5 / (w - 1)) + rng.normal() * 1e-9) - math.log(qm1))
+            spectrum = Spectrum(np.r_[span, np.zeros(w - 1)])
+            if shift._certainly_feasible(w, spectrum.x_max - spectrum.x_min, qm1):
+                held += 1
+                assert feasibility(spectrum, QParam(q)).endpoint_value <= 0.5
+        assert held >= 1000
+
+    @pytest.mark.parametrize("values, q", [
+        ([0.37], 1.5),                   # W = 1
+        ([0.7, 0.7, 0.7], 1.001),        # a span of 0
+        ([0.0, 5e-324], 1.25),           # qm1 span underflows to 0
+        ([-1e308, 1e308], 1.0 + 1e-9),   # the span overflows to inf
+        ([0.0, 1e300], 1.5),             # qm1 span finite, far above the bound
+    ])
+    def test_degenerate_inputs_fall_back_to_the_exact_sum(self, values, q):
+        spectrum = Spectrum(values)
+        assert not shift._certainly_feasible(len(values), spectrum.x_max - spectrum.x_min, q - 1.0)
+        if feasibility(spectrum, QParam(q)).feasible:
+            assert abs(solve_shift(spectrum, QParam(q)).residual) <= 1e-10
+        else:
+            with pytest.raises(InfeasibleError):
+                solve_shift(spectrum, QParam(q))
+
+
 class TestSolveShift:
     def test_closed_form_q2(self):
         sol = solve_shift(PAIR, QParam(2))
@@ -203,6 +285,16 @@ class TestSolveShift:
         sol = solve_shift(UNIT, QParam(2))
         assert sol.a0 == 0.0
         assert abs(sol.residual) <= 1e-10
+        assert (sol.iterations, sol.method) == (0, SolveMethod.BISECTION)
+        # one ulp wider the sum exceeds 1, and one ulp narrower the root lies inside the
+        # domain; none of the three is certified, so the exact sum decides each
+        with pytest.raises(InfeasibleError):
+            solve_shift(Spectrum([0.0, 1.0 + 2.0**-52]), QParam(2))
+        inside = solve_shift(Spectrum([0.0, 1.0 - 2.0**-53]), QParam(2))
+        assert inside.method is SolveMethod.BISECTION_THEN_NEWTON and inside.a0 > -2.0**-53
+        assert abs(inside.residual) <= 1e-10
+        for span in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53):
+            assert not shift._certainly_feasible(2, span, 1.0)
 
     def test_residual_contract_and_domain_placement(self):
         rng = np.random.default_rng(23)
