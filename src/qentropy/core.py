@@ -86,7 +86,10 @@ class _FrozenVector:
     def __init__(self, values: Iterable[float], what: str):
         if not isinstance(values, (np.ndarray, list, tuple)):
             values = list(values)  # np.array would wrap a generator as a 0-d object array
-        arr = np.array(values, dtype=float)
+        self._hold(np.array(values, dtype=float), what)
+
+    def _hold(self, arr: np.ndarray, what: str) -> None:
+        """Take ``arr``, a float64 array that nothing else holds, as the values, and freeze it."""
         if arr.ndim != 1:
             raise TypeError(f"{what} must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
@@ -123,6 +126,9 @@ class Spectrum(_FrozenVector):
 
     def __init__(self, values: Iterable[float]):
         super().__init__(values, "spectrum")
+        self._bound()
+
+    def _bound(self) -> None:
         object.__setattr__(self, "x_min", float(np.minimum.reduce(self._array)))
         object.__setattr__(self, "x_max", float(np.maximum.reduce(self._array)))
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):  # NaN reaches both
@@ -131,8 +137,11 @@ class Spectrum(_FrozenVector):
     values = property(lambda self: self._tuple)  # built on first access, then cached
 
     def scaled(self, factor: float) -> "Spectrum":
-        """Spectrum with every value multiplied by ``factor``."""
-        return Spectrum(factor * self._array)
+        """Spectrum with every value multiplied by ``factor``, built over the product itself."""
+        spectrum = Spectrum.__new__(Spectrum)
+        spectrum._hold(np.multiply(self._array, factor, dtype=float), "spectrum")
+        spectrum._bound()
+        return spectrum
 
 
 class Distribution(_FrozenVector):
@@ -155,15 +164,15 @@ class Distribution(_FrozenVector):
 
     @classmethod
     def _solved(cls, p: np.ndarray, q: float, numerator: float | None) -> "Distribution":
-        """The p of a solve at index q, taken over without a copy and made read-only.
+        """The p of a solve at index q, taken over without a copy or a scan, and made read-only.
 
-        A shift solve has just checked |sum p - 1| <= 1e-10 with this same
-        ``np.add.reduce``, and a chart solve formed p = u / sum u, so sum p is
-        within ``NORMALIZATION_TOL`` of 1 and only the range is checked again.
-        ``numerator``, 1 - sum p^q (-sum p ln p at q = 1) from the solve's last
-        pass, is recorded unless None.
+        A solve's p lies in [0, 1] by construction, so neither its sum nor its
+        range is checked again.  A shift solve has checked |sum p - 1| <= 1e-10
+        and its a0 <= x_min puts every base on the side of 1 whose power lies in
+        [0, 1], a cut-off term being 0; a chart solve forms p = u / sum u with
+        0 <= u <= sum u.  ``numerator``, 1 - sum p^q (-sum p ln p at q = 1) from
+        the solve's last pass, is recorded unless None.
         """
-        _check_range(p)
         p.flags.writeable = False
         self = cls.__new__(cls)
         object.__setattr__(self, "_array", p)
@@ -209,10 +218,9 @@ def _deformed_exp(z, qm1: float, cutoff: bool = False, out=None, lowest: float |
     owns numpy's error state, which must be ``np.errstate(**_KERNEL_ERRORS)``.
     """
     out = z if out is None else out
+    _base(z, qm1)
     if qm1 == 0.0:
-        return np.exp(np.negative(z, out=z), out=out)
-    z *= -qm1
-    z += 1.0  # the base 1 - qm1 z, bit for bit
+        return np.exp(z, out=out)
     if lowest is None:
         lowest = np.minimum.reduce(z, None)
     if lowest < 0.0 and not cutoff:
@@ -223,6 +231,15 @@ def _deformed_exp(z, qm1: float, cutoff: bool = False, out=None, lowest: float |
     if zero is not None:
         p[zero] = 0.0
     return p
+
+
+def _base(z, qm1: float):
+    """The base 1 - qm1 z of :func:`_deformed_exp`, bit for bit, written over z; -z at qm1 = 0."""
+    if qm1 == 0.0:
+        return np.negative(z, out=z)
+    z *= -qm1
+    z += 1.0
+    return z
 
 
 def _slope(p, base, qm1: float, lowest: float):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _deformed_exp,
-                   _numerator, _slope)
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _base,
+                   _deformed_exp, _numerator, _slope)
 from .errors import ConvergenceError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
@@ -30,6 +30,8 @@ RESIDUAL_BOUND = 1e-10
 
 #: |f(a) - 1| at which the Newton iteration stops by default, and its budget of kernel passes
 _SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
+#: elements per block of a W-length pass: a block of x, of p and of the scratch stays in L2
+_BLOCK = 2**15
 
 
 class SolveMethod(enum.Enum):
@@ -114,33 +116,65 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
     """
     if not q.is_super_unit:
         return FeasibilityReport(endpoint_value=0.0, feasible=True)
+    x = spectrum.as_array()
+    blocks = _blocks(x, np.empty(min(x.size, _BLOCK)))
     with np.errstate(**_KERNEL_ERRORS):
-        endpoint_value = _endpoint_sum(spectrum.as_array(), spectrum.x_max, q.q - 1.0)
+        endpoint_value = _endpoint_sum(blocks, spectrum.x_max, q.q - 1.0)
     return FeasibilityReport(endpoint_value=endpoint_value, feasible=endpoint_value <= 1.0)
 
 
-def _endpoint_sum(x: np.ndarray, x_max: float, qm1: float) -> float:
-    """f at the q > 1 domain endpoint, its terms in gap form, which keeps a zero gap exactly 0."""
-    gaps = np.subtract(x_max, x)
-    gaps *= qm1
-    return float(np.add.reduce(np.power(gaps, 1.0 / qm1, out=gaps)))
+def _endpoint_sum(blocks, x_max: float, qm1: float) -> float:
+    """f at the q > 1 domain endpoint, its terms in gap form, which keeps a zero gap exactly 0.
 
-
-def _certainly_feasible(w: int, span: float, qm1: float) -> bool:
-    """Whether (W - 1) (qm1 span)^(1/qm1) <= 1/2 certifies an endpoint sum below 1/2.
-
-    The x_max term of :func:`_endpoint_sum` is exactly 0, and each other
-    term is at most the scalar power here: its rounded base qm1 (x_max - x_i)
-    is at most qm1 span, rounded by the same float operations, under the
-    same exponent.  The bound sits a relative 2^-30 under 1/2, for the
-    roundings of the powers and the sum.  It is False, and the exact sum
-    decides, where qm1 span is 0 (W = 1, a flat spectrum, or an underflow),
-    and, with no power taken, where it is 1 or more, inf included: the
-    x_min term alone is then at least 1.  Below 1 the power cannot
-    overflow, and where it underflows it is 0.
+    The terms of each block of x go into its scratch (:func:`_blocks`).
     """
-    t = span * qm1
-    return 0.0 < t < 1.0 and (w - 1.0) * t ** (1.0 / qm1) <= 0.5 - 2.0**-31
+    total = -0.0
+    for x, (gaps, _) in blocks:
+        np.subtract(x_max, x, out=gaps)
+        gaps *= qm1
+        total += float(np.add.reduce(np.power(gaps, 1.0 / qm1, out=gaps)))
+    return total
+
+
+def _certified(w: int, x_min: float, x_max: float, qm1: float, m: float, squares: float) -> bool:
+    """Whether the q > 1 endpoint sum is certainly at most 1/2, from x's moments in O(1).
+
+    ``m`` and ``squares`` are :func:`_moments`' mean and sum of squares about
+    it.  The sum is sum_i t_i^k with t_i = qm1 g_i, g_i = x_max - x_i and
+    k = 1/qm1; its x_max term is 0.  A span of 0 makes every term exactly 0.
+    Where (W - 1) t^k <= 1/2 - 2^-31 for t = qm1 span, by the float operations
+    of the exact sum, no term exceeds that scalar power.  Otherwise the bound
+    comes from sum g = W d and sum g^2 = W d^2 + sum (x_i - m)^2, with d the
+    distance from x_max to the exact mean: sum t^k <= t_max^(k-2) sum t^2
+    for k >= 2, (sum t)^(2-k) (sum t^2)^(k-1) for 1 <= k < 2 (power means),
+    and (W - 1)^(1-k) (sum t)^k for k < 1 (Jensen's inequality).  d is
+    widened by the rounding of m, at most (W + 2) eps max|x| plus W
+    subnormal steps, and the sum of squares by its own rounding; the bound
+    is then widened by exp(3 k 2^-53) for the rounding of each t_i carried
+    through the power k, by 2^-30 + W eps for the powers and the sum, and
+    by W eps for the rounding of k itself.  A moment that is not finite
+    certifies nothing.
+    """
+    span = x_max - x_min
+    if span == 0.0:
+        return True
+    k, t = 1.0 / qm1, span * qm1
+    if 0.0 < t < 1.0 and (w - 1.0) * t ** k <= 0.5 - 2.0**-31:
+        return True
+    if not (math.isfinite(m) and math.isfinite(squares)):
+        return False
+    eps, tiny = 2.0**-52, 2.0**-1074
+    d = max(x_max - m, 0.0) * (1.0 + eps) + (w + 2.0) * (eps * max(-x_min, x_max) + tiny)
+    t1 = qm1 * w * d  # >= sum t
+    t2 = qm1 * qm1 * (w * d * d + (squares + w * tiny) * (1.0 + (w + 2.0) * eps))  # >= sum t^2
+    if k >= 2.0:
+        t_max = t * (1.0 + 2.0 * eps) + tiny
+        bound = t_max ** (k - 2.0) * t2 if t_max < 1.0 else math.inf
+    elif k >= 1.0:
+        bound = t1 ** (2.0 - k) * t2 ** (k - 1.0)
+    else:
+        bound = (w - 1.0) ** (1.0 - k) * t1 ** k
+    return bound * math.exp(3.0 * k * 2.0**-53) * (1.0 + 2.0**-30 + w * eps) + w * eps <= 0.5
 
 
 def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter: int):
@@ -179,6 +213,21 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
     return best[0], best[1], (lo, hi), evaluations
 
 
+def _blocks(x: np.ndarray, scratch: np.ndarray, p: np.ndarray | None = None):
+    """Blocks (x_b, (scratch_b, p_b)) of x and p, of at most ``_BLOCK`` elements, over one scratch.
+
+    The blocks are as nearly equal in length as whole elements allow, and
+    each gets a view of the start of ``scratch``, which is one block long,
+    or W long for a spectrum of one block, which gets the arrays themselves.
+    """
+    if x.size <= _BLOCK:
+        return [(x, (scratch, p))]
+    n = -(-x.size // _BLOCK)
+    edges = [x.size * i // n for i in range(n + 1)]
+    return [(x[i:j], (scratch[:j - i], None if p is None else p[i:j]))
+            for i, j in zip(edges, edges[1:])]
+
+
 def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
                  work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """p of one kernel pass at shift a into ``work[1]``, its base left in ``work[0]``.
@@ -190,17 +239,54 @@ def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
     return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, work[1], lowest)
 
 
-def _pass_numerator(p: np.ndarray, base: np.ndarray, q: float, r: float) -> float | None:
-    """The measure's numerator 1 - sum p^q (-sum p ln p at q = 1) of a kernel pass, or None.
+# Each loop over blocks below sums their parts from -0.0, the identity of float
+# addition, so that one block's sum is its part bit for bit.
 
-    The base of the pass is p^(q-1), and ln p at q = 1, so the sum is one dot product.
-    Within ``_NEAR_ONE`` of q = 1 the base becomes p^(q-1) - 1 in place, which is exact
-    for a base in [0.5, 2], and r = sum p - 1 of the pass gives the shortfall.  None
-    where the dot is not finite, as where p = 0 meets an infinite base.
+def _sum_pass(blocks, a: float, qm1: float, lowest: float) -> float:
+    """f(a): one :func:`_kernel_pass` per block, each summed while it is in cache."""
+    total = -0.0
+    for x, work in blocks:
+        # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
+        total += float(np.add.reduce(_kernel_pass(x, a, qm1, lowest, work)))
+    return total
+
+
+def _slope_sum(blocks, a: float, qm1: float, lowest: float) -> float:
+    """f' = sum p^(2-q) of the latest pass, at shift a, each block's written over its base.
+
+    One block's base is the one its pass left in the scratch.  Several
+    blocks share the scratch, so each block's base is formed again, by the
+    pass's own float operations; so it is in :func:`_pass_numerator`.
     """
-    if q != 1.0 and abs(q - 1.0) < _NEAR_ONE:
-        base -= 1.0
-    total = float(np.dot(p, base))
+    total = -0.0
+    for x, (base, p) in blocks:
+        if len(blocks) > 1:
+            _base(np.subtract(x, a, out=base), qm1)
+        total += float(np.add.reduce(_slope(p, base, qm1, lowest)))
+    return total
+
+
+def _pass_numerator(blocks, p: np.ndarray, a: float, q: float, r: float) -> float | None:
+    """The measure's numerator 1 - sum p^q (-sum p ln p at q = 1) of the latest pass, or None.
+
+    The base of the pass at shift a is p^(q-1), and ln p at q = 1, so the sum
+    is one dot product per block.  Within ``_NEAR_ONE`` of q = 1 the base
+    becomes p^(q-1) - 1 in place, which is exact for a base in [0.5, 2], and
+    r = sum p - 1 gives the shortfall: the pass's own for one block, and over
+    several the one ``np.add.reduce`` of the whole p that the measure of a
+    copy of p forms.  None where the dot is not finite, as where p = 0 meets
+    an infinite base.
+    """
+    near_one = q != 1.0 and abs(q - 1.0) < _NEAR_ONE
+    total = -0.0
+    for x, (base, p_block) in blocks:
+        if len(blocks) > 1:
+            _base(np.subtract(x, a, out=base), q - 1.0)
+        if near_one:
+            base -= 1.0
+        total += float(np.dot(p_block, base))
+    if near_one and len(blocks) > 1:
+        r = float(np.add.reduce(p)) - 1.0
     return _numerator(q, total, -r) if math.isfinite(total) else None
 
 
@@ -209,26 +295,38 @@ def _z(log_n: float, qm1: float) -> float:
     return log_n if qm1 == 0.0 else -math.expm1(-qm1 * log_n) / qm1
 
 
-def _model_start(x: np.ndarray, qm1: float, scratch: np.ndarray) -> float:
+def _moments(blocks, w: int) -> tuple[float, float]:
+    """The mean m of x and its sum of squares about m, sum (x_i - m)^2.
+
+    Each block takes one subtract into its scratch and a dot.
+    """
+    total = -0.0
+    for x, _ in blocks:
+        total += float(np.add.reduce(x))
+    m, squares = total / w, -0.0
+    for x, (scratch, _) in blocks:
+        centred = np.subtract(x, m, out=scratch)
+        squares += float(np.dot(centred, centred))
+    return m, squares
+
+
+def _model_start(w: int, m: float, squares: float, qm1: float) -> float:
     """The root of f's second-order moment model W e(m - a) (1 + c/b^2) = 1.
 
-    e is the deformed exponential, m and s2 are the mean and variance of
-    x, b = 1 - (q-1)(m - a) is the base at the mean and c = (2-q) s2/2,
-    so that c/b^2 is s2 e''/(2e).  e(m - a) = 1/N at a = m - z_N, where
-    b = N^(1-q); so the root is m - z_N for the N that solves
-    ln N = ln W + log1p(c N^(2(q-1))), which three Newton steps on ln N
-    from ln W find.  The model is exact for a flat spectrum, for W = 1,
-    at q = 2, where c = 0 and f is linear, so that the root is m - z_W,
-    and at q = 3/2 while no base is cut off, where e is quadratic.  Where
-    it is undefined -- c/b^2 <= -1/2 (q > 2), a step without a positive
-    slope (3/2 < q < 2), or beyond a double -- the start is m - z_W, where
-    f >= 1 by Jensen's inequality for q < 2.  The moments take one
-    subtract into ``scratch`` and two reductions.
+    e is the deformed exponential, m and s2 = ``squares``/W are the mean and
+    variance of x (:func:`_moments`), b = 1 - (q-1)(m - a) is the base at
+    the mean and c = (2-q) s2/2, so that c/b^2 is s2 e''/(2e).  e(m - a) = 1/N
+    at a = m - z_N, where b = N^(1-q); so the root is m - z_N for the N that
+    solves ln N = ln W + log1p(c N^(2(q-1))), which three Newton steps on
+    ln N from ln W find.  The model is exact for a flat spectrum, for W = 1,
+    at q = 2, where c = 0 and f is linear, so that the root is m - z_W, and
+    at q = 3/2 while no base is cut off, where e is quadratic.  Where it is
+    undefined -- c/b^2 <= -1/2 (q > 2), a step without a positive slope
+    (3/2 < q < 2), or beyond a double -- the start is m - z_W, where f >= 1
+    by Jensen's inequality for q < 2.
     """
-    m = float(np.add.reduce(x)) / x.size
-    centred = np.subtract(x, m, out=scratch)
-    c = (1.0 - qm1) * float(np.dot(centred, centred)) / (2.0 * x.size)
-    log_w = log_n = math.log(x.size)
+    c = (1.0 - qm1) * squares / (2.0 * w)
+    log_w = log_n = math.log(w)
     try:
         for _ in range(3):
             t = c * math.exp(2.0 * qm1 * log_n)  # c/b^2
@@ -257,17 +355,26 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     ``_SHIFT_PASSES`` passes.  Returns (solution, p, numerator) with p at
     ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
     iteration's best point came before its last pass, one more pass
-    evaluates them there.  p lives in the solve's own workspace of two
-    arrays, which no later solve reuses.  numerator is the measure's
-    1 - sum p^q (:func:`_pass_numerator`), formed from the base that a
-    pass meeting the tolerance leaves in the workspace.  It is None where
-    the last pass missed the tolerance, a pass that for q != 1 writes the
-    slope over its base, or where it is not finite.  For q > 1 the exact
-    endpoint sum (:func:`_endpoint_sum`), one power per state, decides
-    feasibility only where :func:`_certainly_feasible` cannot bound it
-    below 1/2 in O(1): near q = 1 nearly every one of those powers
-    underflows, on numpy's slow path.  Below 1/2 the solve is feasible
-    and its root is not the endpoint, as the exact sum would have found.
+    evaluates them there.  p is the solve's own W-length array, which no
+    later solve reuses.  Each W-length pass runs over the blocks of
+    :func:`_blocks`, so that a block of x, of p and of the one-block
+    scratch stays in cache from its subtract to its sum; the scratch holds
+    the block's base, which a second loop over the blocks, on the slope or
+    the measure, forms again where there are several.  A spectrum of one
+    block runs each loop once, on the arrays themselves.  numerator is the
+    measure's 1 - sum p^q (:func:`_pass_numerator`) of a pass meeting the
+    tolerance.  It is None where the last pass missed the tolerance, a pass
+    that for q != 1 writes the slope over its base, or where it is not
+    finite.  For q > 1 the moments of the start come first, and
+    :func:`_certified` bounds the endpoint sum by them in O(1); only where
+    the bound cannot show it at most 1/2 is the exact sum
+    (:func:`_endpoint_sum`), one power per state, formed.  Near q = 1 nearly
+    every one of those powers underflows, on numpy's slow path.  At most
+    1/2, the solve is feasible and its root is not the endpoint, as the
+    exact sum would have found.  The endpoint is clamped to at most x_min,
+    where it lies before rounding wherever the exact sum is at most 1, so
+    that a0 <= x_min always: each base then lies on the side of 1 whose
+    power is in [0, 1].
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -276,24 +383,23 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
         tol = max(tol, min(2.0**-53 / abs(qm1), 0.25 * RESIDUAL_BOUND))
     last = None  # (a, p, f - 1, the measure's numerator or None) of the latest pass
     ext = x_max if qm1 > 0.0 else x_min  # its base is the smallest, by the same float operations
+    p = np.empty(x.size)
+    blocks = _blocks(x, np.empty(min(x.size, _BLOCK)), p)  # fd's workspace
 
     def fd(a: float) -> tuple[float, float]:
         nonlocal last
         lowest = (ext - a) * -qm1 + 1.0
-        p = _kernel_pass(x, a, qm1, lowest, work)
-        # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
-        r = float(np.add.reduce(p)) - 1.0
+        r = _sum_pass(blocks, a, qm1, lowest) - 1.0
         last = (a, p, r, None)
         if r == -1.0:  # f underflowed to 0, where log1p raises
             return (-1.0 / qm1 if qm1 > 0.0 else -math.inf), math.nan
         log_f = math.log1p(r)
         try:
             h = math.expm1(qm1 * log_f) / qm1 if qm1 != 0.0 else log_f
-            if abs(h) <= tol:  # the iteration stops here: f' is not needed, and the base is left
-                last = (a, p, r, _pass_numerator(p, work[0], q.q, r))
+            if abs(h) <= tol:  # the iteration stops here, and f' is not needed
+                last = (a, p, r, _pass_numerator(blocks, p, a, q.q, r))
                 return h, math.nan
-            slope = _slope(p, work[0], qm1, lowest)
-            return h, float(np.add.reduce(slope)) * math.exp((qm1 - 1.0) * log_f)
+            return h, _slope_sum(blocks, a, qm1, lowest) * math.exp((qm1 - 1.0) * log_f)
         except OverflowError:  # h or h' beyond a double: its sign still orders the bracket
             return math.copysign(math.inf, r), math.nan
 
@@ -305,16 +411,18 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
     # for q <= 1, and whose endpoint terms make q > 1 infeasible
     with np.errstate(**_KERNEL_ERRORS):
-        # a certified endpoint sum is below 1/2: feasible, and no endpoint root
-        endpoint_value = 0.0
-        if qm1 > 0.0 and not _certainly_feasible(x.size, x_max - x_min, qm1):
-            endpoint_value = _endpoint_sum(x, x_max, qm1)
-            if not endpoint_value <= 1.0:
-                raise InfeasibleError(
-                    f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
-        work = (np.empty(x.size), np.empty(x.size))  # fd's workspace
+        if qm1 != 0.0:
+            m, squares = _moments(blocks, x.size)
         if qm1 > 0.0:
-            endpoint = x_max - 1.0 / qm1
+            # a certified endpoint sum is at most 1/2: feasible, and no endpoint root
+            endpoint_value = 0.0
+            if not _certified(x.size, x_min, x_max, qm1, m, squares):
+                endpoint_value = _endpoint_sum(blocks, x_max, qm1)
+                if not endpoint_value <= 1.0:
+                    raise InfeasibleError(
+                        f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
+            # at most x_min, as it is before rounding wherever the sum is at most 1
+            endpoint = min(x_max - 1.0 / qm1, x_min)
             if endpoint_value == 1.0:
                 # the root is the endpoint itself, where f' can be singular
                 fd(endpoint)
@@ -325,10 +433,13 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
             lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
         if qm1 == 0.0:
             # the root itself, within an ulp: every term of the sum is at most 1, and one is 1
-            terms = np.subtract(x_min, x, out=work[0])
-            start = x_min - math.log(float(np.add.reduce(np.exp(terms, out=terms))))
+            total = -0.0
+            for x_b, (terms, _) in blocks:
+                np.subtract(x_min, x_b, out=terms)
+                total += float(np.add.reduce(np.exp(terms, out=terms)))
+            start = x_min - math.log(total)
         else:
-            start = _model_start(x, qm1, work[0])
+            start = _model_start(x.size, m, squares, qm1)
         start = hi if not start < hi else max(start, lo)  # a NaN start, where m overflows, too
         a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
         if last[0] != a0:
@@ -369,15 +480,22 @@ def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> Shift
     it exceeds the default ``tol`` only for |q - 1| < 1.12e-4.  They also
     stop once a Newton step rounds back to its own point, where the root
     lies within half an ulp of it.  ``iterations`` counts those kernel
-    passes, at least 1, and ``residual`` is f(a0) - 1 itself.  A q > 1
-    root on the domain endpoint is taken as is, with 0 iterations and
-    method ``BISECTION``.  Whether a q > 1 root exists is decided first in
-    O(1): where (W - 1)(qm1 span)^(1/qm1) <= 1/2, every term of the endpoint
-    sum but the zero one at x_max is at most (qm1 span)^(1/qm1), so the sum
-    is below 1/2.  Only elsewhere is the exact sum formed, whose powers
-    near q = 1 nearly all underflow and cost several times a kernel pass.
-    numpy's overflow, division and invalid-value errors are ignored
-    throughout the solve.
+    passes, at least 1, and ``residual`` is f(a0) - 1 itself.  Each pass,
+    and the moments, run over blocks of x of about 2^15 states, which stay
+    in cache, with one W-length array for p and a one-block scratch; below
+    2^15 states each runs once, and the sums of several blocks add up
+    their partial sums.  A q > 1 root on the domain endpoint, clamped to
+    at most x_min, is taken as is, with 0 iterations and method
+    ``BISECTION``.  Whether a q > 1 root exists is decided first in O(1),
+    from the mean and the sum of squares that the start needs anyway: the
+    endpoint sum sum_i (qm1 g_i)^(1/qm1), with g_i = x_max - x_i, is at most
+    (W - 1)(qm1 span)^(1/qm1), and is bounded by power means of sum g and
+    sum g^2 where 1/qm1 >= 1 and by Jensen's inequality below
+    (:func:`_certified`).  Where a bound shows it at most 1/2, as for W = 1
+    and a flat spectrum, whose sum is 0, the root exists; only elsewhere is
+    the exact sum formed, whose powers near q = 1 nearly all underflow and
+    cost several times a kernel pass.  numpy's overflow, division and
+    invalid-value errors are ignored throughout the solve.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes
@@ -393,10 +511,11 @@ def shifted_distribution(spectrum: Spectrum, q: QParam) -> tuple[Distribution, S
     :func:`solve_shift`'s defaults; no further pass evaluates it.  The
     probabilities come back in spectrum order and sum to 1 within the
     solver residual bound.  The ``Distribution`` holds the solve's own
-    array, read-only and not copied; only its range is checked again, as
-    the solve has checked its sum.  It also records the numerator of the
-    measure at q that the solve formed from its last pass, which
-    :func:`~qentropy.entropy.uncertainty` reads in place of a pass over p.
+    array, read-only, neither copied nor scanned again: the solve has
+    checked its sum, and its a0 <= x_min puts p in [0, 1].  It also
+    records the numerator of the measure at q that the solve formed from
+    its last pass, which :func:`~qentropy.entropy.uncertainty` reads in
+    place of a pass over p.
     """
     solution, p, numerator = _solve(spectrum, q, _SHIFT_TOL)
     return Distribution._solved(p, q.q, numerator), solution

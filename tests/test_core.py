@@ -1,6 +1,7 @@
 """Tests for the value types and the deformed exponential and logarithm kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from qentropy import (
     DomainError,
     EmptyError,
     NormalizationError,
+    QentropyError,
     QParam,
     RangeError,
     Spectrum,
+    escort_distribution,
+    shifted_distribution,
+    solve_beta,
     varentropy_residual,
 )
 from qentropy.core import (NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp, _deformed_exp1p,
@@ -78,6 +83,21 @@ class TestSpectrum:
         s = Spectrum([0.0, 1.0]).scaled(2.0)
         assert s.values == (0.0, 2.0)
         assert Spectrum(np.add(s.values, -1.0)).values == (-1.0, 1.0)
+
+    def test_scaled_holds_its_product_without_a_copy(self):
+        w = 100_000
+        spectrum = Spectrum(np.random.default_rng(3).random(w))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scaled = spectrum.scaled(1.7)
+            assert tracemalloc.get_traced_memory()[1] - before <= 8 * w + 64 * 1024
+        finally:
+            tracemalloc.stop()
+        assert scaled.as_array().tobytes() == (1.7 * spectrum.as_array()).tobytes()
+        assert not scaled.as_array().flags.writeable
+        assert (scaled.x_min, scaled.x_max) == (float(scaled.as_array().min()),
+                                                float(scaled.as_array().max()))
 
 
 class TestQFactor:
@@ -383,3 +403,56 @@ class TestValueTypeContract:
                     with pytest.raises(NormalizationError):
                         Distribution(probs)
         assert decisions == {True, False}
+
+
+class TestSolvedRange:
+    """A solver's p is taken over unscanned, so it must lie in [0, 1] by its construction."""
+
+    @staticmethod
+    def _in_range(run) -> bool:
+        """Whether ``run`` solved; its p must then lie in [0, 1]."""
+        try:
+            p = run().as_array()
+        except QentropyError:
+            return False  # no root, or none that doubles resolve
+        assert np.minimum.reduce(p) >= 0.0 and np.maximum.reduce(p) <= 1.0
+        return True
+
+    def test_every_solved_p_lies_in_the_unit_interval(self):
+        # q from 0.3 to 10 and within 1e-9 of 1, offsets up to 1e8, W from 1 to 10^5
+        rng = np.random.default_rng(131)
+        solved = {"shift": 0, "beta": 0, "escort": 0}
+        for draw in range(400):
+            q = (1.0 + rng.uniform(-1e-9, 1e-9) if draw % 4 == 0
+                 else math.exp(rng.uniform(math.log(0.3), math.log(10.0))))
+            w = int(math.exp(rng.uniform(0.0, math.log(1e5 + 1))))
+            offset = float(rng.choice([0.0, 1.0, -1.0])) * 10.0 ** rng.uniform(-3.0, 8.0)
+            x = (10.0 ** rng.uniform(-3.0, 1.0)) * rng.random(w)
+            if q > 1.0 and draw % 2:  # a feasible q > 1 shift, its endpoint sum near 0.9
+                with np.errstate(under="ignore"):
+                    total = float(np.sum(((q - 1.0) * (x.max() - x)) ** (1.0 / (q - 1.0))))
+                x *= (0.9 / total) ** (q - 1.0) if total > 0.9 else 1.0
+            energies = Spectrum(offset + x)
+            span = energies.x_max - energies.x_min
+            target = energies.x_min + rng.uniform(0.05, 0.95) * span
+            beta = rng.uniform(-2.0, 2.0) / max(span, 1e-3)
+            solved["shift"] += self._in_range(lambda: shifted_distribution(energies, QParam(q))[0])
+            solved["beta"] += self._in_range(lambda: solve_beta(QParam(q), energies, target)[1])
+            solved["escort"] += self._in_range(
+                lambda: escort_distribution(2.0 - q, energies, beta).p)
+        assert min(solved.values()) >= 150, solved
+
+    def test_a_rounded_domain_endpoint_stays_at_most_x_min(self):
+        # [x_0, x_0 + s] with s within 3 ulps of 1/(q-1): the rounded endpoint
+        # x_max - 1/(q-1) can land above x_min, where a base would exceed 1
+        rng = np.random.default_rng(137)
+        solved = 0
+        for _ in range(600):
+            qm1 = math.exp(rng.uniform(math.log(1e-3), math.log(49.0)))
+            s = 1.0 / qm1
+            for _ in range(int(rng.integers(-3, 4))):
+                s = math.nextafter(s, math.inf if rng.random() < 0.7 else -math.inf)
+            x0 = float(rng.choice([0.0, 1.0, -3.7, 1e3]))
+            spectrum = Spectrum([x0] + [x0 + s] * int(rng.integers(1, 4)))
+            solved += self._in_range(lambda: shifted_distribution(spectrum, QParam(1.0 + qm1))[0])
+        assert solved >= 150

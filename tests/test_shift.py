@@ -173,8 +173,16 @@ class TestFeasibility:
         assert not rep.feasible
 
 
+def certified(spectrum, q):
+    """Whether the O(1) bound of a solve at q certifies the endpoint sum of ``spectrum`` <= 1/2."""
+    x = spectrum.as_array()
+    with np.errstate(**shift._KERNEL_ERRORS):  # as in a solve, where the moments may overflow
+        m, squares = shift._moments(shift._blocks(x, np.empty(x.size)), x.size)
+    return shift._certified(x.size, spectrum.x_min, spectrum.x_max, q - 1.0, m, squares)
+
+
 class TestFeasibilityCertificate:
-    """The O(1) bound (W - 1) (qm1 span)^(1/qm1) <= 1/2 that spares a q > 1 solve the exact sum."""
+    """The O(1) bound on the q > 1 endpoint sum that spares a solve the exact sum."""
 
     @staticmethod
     def _outcome(spectrum, q):
@@ -197,32 +205,39 @@ class TestFeasibilityCertificate:
             return exact(*args)
 
         monkeypatch.setattr(shift, "_endpoint_sum", counted)
-        certified = [self._outcome(spectrum, q) for spectrum in spectra]
-        # W = 1 and a flat spectrum have no certificate and form the exact sum, which is 0
-        assert len(calls) == 2
-        monkeypatch.setattr(shift, "_certainly_feasible", lambda *args: False)
+        certified_first = [self._outcome(spectrum, q) for spectrum in spectra]
+        # W = 1 and a flat spectrum are certified too: every gap, and so the exact sum, is 0
+        assert len(calls) == 0
+        monkeypatch.setattr(shift, "_certified", lambda *args: False)
         exact_first = [self._outcome(spectrum, q) for spectrum in spectra]
-        assert len(calls) == 2 + len(spectra)
-        assert certified == exact_first
+        assert len(calls) == len(spectra)
+        assert certified_first == exact_first
         # within 1e-9 of q = 1 most of these raise ConvergenceError at the rounding floor
-        assert any(isinstance(outcome[0], shift.ShiftSolution) for outcome in certified)
+        assert any(isinstance(outcome[0], shift.ShiftSolution) for outcome in certified_first)
 
     @given(w=st.integers(min_value=1, max_value=300),
            log_span=st.floats(min_value=-300.0, max_value=300.0),
            q=st.floats(min_value=1.0, max_value=50.0, exclude_min=True),
-           offset=st.floats(min_value=-1e6, max_value=1e6),
+           offset=st.floats(min_value=-1e8, max_value=1e8),
+           spread=st.sampled_from(["half at x_min", "two points", "uniform"]),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_certified_endpoint_sum_is_at_most_one_half(self, w, log_span, q, offset, seed):
-        # about half the states at x_min, whose terms each reach the bound's largest term
-        u = np.random.default_rng(seed).random(w)
-        u[1:][u[1:] < 0.5] = 0.0
+    def test_certified_endpoint_sum_is_at_most_one_half(self, w, log_span, q, offset, spread,
+                                                        seed):
+        # states at x_min reach the largest term; two points make the moment bound exact
+        rng = np.random.default_rng(seed)
+        u = rng.random(w)
+        if spread == "half at x_min":
+            u[1:][u[1:] < 0.5] = 0.0
+        elif spread == "two points":
+            u = (u < rng.random()).astype(float)
         u[0] = 1.0
         spectrum = Spectrum(offset + 10.0**log_span * u)
-        if shift._certainly_feasible(w, spectrum.x_max - spectrum.x_min, q - 1.0):
+        if certified(spectrum, q):
             assert feasibility(spectrum, QParam(q)).endpoint_value <= 0.5
 
     def test_certified_endpoint_sum_at_the_bound(self):
-        # spans within a relative 1e-9 of the bound, W - 1 states at x_min and one at x_max
+        # spans within a relative 1e-9 of the scalar bound (W - 1) t^k <= 1/2,
+        # W - 1 states at x_min and one at x_max
         rng = np.random.default_rng(97)
         held = 0
         for _ in range(3000):
@@ -230,26 +245,76 @@ class TestFeasibilityCertificate:
             qm1 = q - 1.0
             span = math.exp(qm1 * (math.log(0.5 / (w - 1)) + rng.normal() * 1e-9) - math.log(qm1))
             spectrum = Spectrum(np.r_[span, np.zeros(w - 1)])
-            if shift._certainly_feasible(w, spectrum.x_max - spectrum.x_min, qm1):
+            if certified(spectrum, q):
                 held += 1
                 assert feasibility(spectrum, QParam(q)).endpoint_value <= 0.5
         assert held >= 1000
 
+    def test_moment_bound_at_one_half(self):
+        # endpoint sums within a relative 1e-3 of 1/2, on two-point spectra, where the
+        # power-mean bound of every k = 1/(q-1) >= 1 is exact, on states clustered
+        # near x_max and on skewed draws, at offsets up to 3e8, where the mean's
+        # rounding reaches the span
+        rng = np.random.default_rng(101)
+        held = 0
+        for _ in range(3000):
+            w, kind = int(rng.integers(2, 301)), int(rng.integers(0, 3))
+            u = rng.random(w)
+            if kind == 0:
+                u = (u < rng.random()).astype(float)
+            elif kind == 1:
+                u = np.where(u < 0.5, 0.0, 1.0 - 1e-6 * rng.random(w))
+            else:
+                u = u ** rng.uniform(0.1, 10.0)
+            u[0] = 1.0
+            if u.min() == 1.0:
+                continue
+            gaps = (1.0 - u) / (1.0 - u.min())
+            qm1 = math.exp(rng.uniform(math.log(1e-3), math.log(49.0)))
+            with np.errstate(under="ignore"):
+                total = float(np.sum(gaps ** (1.0 / qm1)))  # the sum at qm1 span = 1
+            span = (0.5 * math.exp(rng.normal() * 1e-3) / total) ** qm1 / qm1
+            offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-3.0, 8.5)
+            spectrum = Spectrum(offset + span * (1.0 - gaps))
+            if certified(spectrum, 1.0 + qm1):
+                held += 1
+                assert feasibility(spectrum, QParam(1.0 + qm1)).endpoint_value <= 0.5
+        assert held >= 1000
+
     @pytest.mark.parametrize("values, q", [
-        ([0.37], 1.5),                   # W = 1
-        ([0.7, 0.7, 0.7], 1.001),        # a span of 0
-        ([0.0, 5e-324], 1.25),           # qm1 span underflows to 0
         ([-1e308, 1e308], 1.0 + 1e-9),   # the span overflows to inf
         ([0.0, 1e300], 1.5),             # qm1 span finite, far above the bound
+        ([1e308, 1.5e308, 1.7e308], 1.5),  # the mean overflows: no moment certifies
     ])
     def test_degenerate_inputs_fall_back_to_the_exact_sum(self, values, q):
         spectrum = Spectrum(values)
-        assert not shift._certainly_feasible(len(values), spectrum.x_max - spectrum.x_min, q - 1.0)
+        assert not certified(spectrum, q)
         if feasibility(spectrum, QParam(q)).feasible:
             assert abs(solve_shift(spectrum, QParam(q)).residual) <= 1e-10
         else:
             with pytest.raises(InfeasibleError):
                 solve_shift(spectrum, QParam(q))
+
+    @pytest.mark.parametrize("values, q", [
+        ([0.37], 1.5),                   # W = 1
+        ([0.7, 0.7, 0.7], 1.001),        # a span of 0
+        ([-2.5] * 4, 3.0),               # and where the moment model is undefined
+        ([0.0, 5e-324], 1.25),           # qm1 span underflows to 0, and so does its power
+    ])
+    def test_zero_endpoint_sums_are_certified(self, values, q):
+        # the exact sum is 0, which no longer needs forming
+        spectrum = Spectrum(values)
+        assert certified(spectrum, q)
+        assert feasibility(spectrum, QParam(q)).endpoint_value == 0.0
+        assert abs(solve_shift(spectrum, QParam(q)).residual) <= 1e-10
+
+    def test_certifies_the_benchmark_spectra_at_three_halves(self):
+        # uniform gaps at an endpoint sum of 0.25: the scalar bound reads 0.75, while
+        # sum t^2 is the sum itself at q = 3/2
+        x = np.random.default_rng(1).random(10**4)
+        spectrum = Spectrum(x * (0.25 / oracles.endpoint_sum(x, 1.5)) ** 0.5)
+        assert certified(spectrum, 1.5)
+        assert (spectrum.W - 1) * (0.5 * (spectrum.x_max - spectrum.x_min)) ** 2 > 0.5
 
 
 class TestSolveShift:
@@ -294,7 +359,7 @@ class TestSolveShift:
         assert inside.method is SolveMethod.BISECTION_THEN_NEWTON and inside.a0 > -2.0**-53
         assert abs(inside.residual) <= 1e-10
         for span in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53):
-            assert not shift._certainly_feasible(2, span, 1.0)
+            assert not certified(Spectrum([0.0, span]), 2.0)
 
     def test_residual_contract_and_domain_placement(self):
         rng = np.random.default_rng(23)
@@ -345,14 +410,14 @@ class TestSolveShift:
 
     @staticmethod
     def _count_passes(monkeypatch):
-        """A list whose length counts the kernel passes of every later solve."""
-        passes, kernel = [], shift._kernel_pass
+        """A list whose length counts the kernel passes, not their blocks, of every later solve."""
+        passes, summed = [], shift._sum_pass
 
         def counted(*args, **kwargs):
             passes.append(None)
-            return kernel(*args, **kwargs)
+            return summed(*args, **kwargs)
 
-        monkeypatch.setattr(shift, "_kernel_pass", counted)
+        monkeypatch.setattr(shift, "_sum_pass", counted)
         return passes
 
     def test_kernel_pass_count_over_seeded_spectra(self, monkeypatch):
@@ -481,14 +546,16 @@ class TestSolveShift:
         x = np.random.default_rng(97).random(2000) * 0.01
         m, s2 = float(np.mean(x)), float(np.var(x))
         exact = m - 2.0 * (1.0 - math.sqrt(1.0 / x.size - s2 / 4.0))
-        assert shift._model_start(x, 0.5, np.empty(x.size)) == pytest.approx(exact, rel=0,
-                                                                             abs=1e-15)
+        moments = shift._moments(shift._blocks(x, np.empty(x.size)), x.size)
+        assert moments[1] == pytest.approx(s2 * x.size, rel=1e-13)
+        assert shift._model_start(x.size, *moments, 0.5) == pytest.approx(exact, rel=0, abs=1e-15)
         # undefined where c/b^2 = -2 (q = 3), and beyond a double at q = 300: both
         # fall back to Jensen's m - z_W
         for values, qm1 in (([0.0, 1.0], 2.0), ([0.0] + [1e-300] * 99, 299.0)):
             x = np.array(values)
             jensen = float(np.mean(x)) - shift._z(math.log(x.size), qm1)
-            assert shift._model_start(x, qm1, np.empty(x.size)) == jensen
+            moments = shift._moments(shift._blocks(x, np.empty(x.size)), x.size)
+            assert shift._model_start(x.size, *moments, qm1) == jensen
 
     @pytest.mark.parametrize("q, values", [
         (30.0, [1e-300] + [0.0] * 99),  # f underflows to 0 at a probe, where log1p raises
@@ -596,12 +663,18 @@ class TestSolveShift:
         if q > 1.0:
             x = x * (0.9 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
         spectrum = Spectrum(x)
-        events, slope, divide, minimum = [], shift._slope, np.divide, np.minimum
+        blocks = len(shift._blocks(x, x))
+        events, slope_sum, slope, divide = [], shift._slope_sum, shift._slope, np.divide
+        minimum = np.minimum
 
         class Minimum:
             def reduce(self, *args, **kwargs):
                 events.append("minimum")
                 return minimum.reduce(*args, **kwargs)
+
+        def spied_slope_sum(*args):
+            events.append("slope pass")
+            return slope_sum(*args)
 
         def spied_slope(*args):
             events.append("slope")
@@ -611,16 +684,18 @@ class TestSolveShift:
             events.append("divide")
             return divide(*args, **kwargs)
 
+        monkeypatch.setattr(shift, "_slope_sum", spied_slope_sum)
         monkeypatch.setattr(shift, "_slope", spied_slope)
         monkeypatch.setattr(np, "divide", spied_divide)
         monkeypatch.setattr(np, "minimum", Minimum())
         passes = self._count_passes(monkeypatch)
         solution = solve_shift(spectrum, QParam(q))
         steps = len(passes) - 1
-        assert abs(solution.residual) <= 1e-12 and steps >= 1
+        assert abs(solution.residual) <= 1e-12 and steps >= 1 and blocks > 1
         assert "minimum" not in events
-        assert events.count("slope") == steps
-        assert events.count("divide") == steps
+        assert events.count("slope pass") == steps
+        # one slope, and its one divide, per block of each stepping pass
+        assert events.count("slope") == events.count("divide") == steps * blocks
 
     @pytest.mark.parametrize("values, q", [
         (np.linspace(0.0, 1.0, 30), 0.5),  # the Newton iteration
@@ -731,3 +806,94 @@ class TestShiftedDistribution:
             order = np.argsort(values)
             probs = dist.as_array()[order]
             assert (np.diff(probs) <= 1e-15).all()
+
+
+class TestBlocks:
+    """A W-length pass runs over blocks of ``shift._BLOCK`` elements, with one block's scratch."""
+
+    @staticmethod
+    def _solve(spectrum, q):
+        """(outcome, kernel passes) of a solve: (solution, p, numerator), or the exception type."""
+        passes, summed = [], shift._sum_pass
+
+        def counted(*args):
+            passes.append(None)
+            return summed(*args)
+
+        shift._sum_pass = counted
+        try:
+            return shift._solve(spectrum, QParam(q), shift._SHIFT_TOL), len(passes)
+        except QentropyError as exc:
+            return type(exc), len(passes)
+        finally:
+            shift._sum_pass = summed
+
+    def _assert_as_one_block(self, monkeypatch, spectrum, q, block):
+        """A solve in blocks of ``block`` matches one in one block, up to the roundings of sums."""
+        monkeypatch.setattr(shift, "_BLOCK", spectrum.W)
+        one, one_passes = self._solve(spectrum, q)
+        monkeypatch.setattr(shift, "_BLOCK", block)
+        blocked, passes = self._solve(spectrum, q)
+        monkeypatch.undo()
+        assert passes == one_passes
+        if not isinstance(one, tuple):
+            assert blocked is one
+            return None
+        (solution, p, numerator), (one_solution, one_p, one_numerator) = blocked, one
+        assert solution.iterations == one_solution.iterations
+        assert solution.method is one_solution.method
+        # both roots meet the stop rule |f - 1| <= max(tol, eps_q), eps_q near q = 1
+        stop = 1e-12 if q == 1.0 else max(1e-12, min(2.0**-53 / abs(q - 1.0), 2.5e-11))
+        slope = partition_derivative(one_solution.a0, spectrum, QParam(q))
+        da0 = abs(solution.a0 - one_solution.a0)
+        assert da0 <= 4 * math.ulp(one_solution.a0) + 2 * stop / slope
+        # p is the kernel pass at its own a0, bit for bit.  It differs from the one-block
+        # p by the slope dp/da = p^(2-q) times the difference in a0 and the rounding of
+        # the base 1 - (q-1)(x - a), a few ulps of 1/|q-1| and of x - a in units of a
+        with np.errstate(**shift._KERNEL_ERRORS):
+            x = spectrum.as_array()
+            expected = shift._deformed_exp(x - solution.a0, q - 1.0, cutoff=True)
+            steepest = (np.maximum if q <= 2.0 else np.minimum)(p, one_p) ** (2.0 - q)
+            grain = 2.0**-51 * ((0.0 if q == 1.0 else 1.0 / abs(q - 1.0))
+                                + np.abs(x - one_solution.a0))
+            near = np.abs(p - one_p) <= (steepest * (1.01 * da0 + grain)
+                                         + 2.0 * np.spacing(np.maximum(p, one_p)))
+        assert p.tobytes() == expected.tobytes()
+        assert near.all()
+        assert (numerator is None) is (one_numerator is None)
+        if numerator is not None:
+            assert abs(numerator - one_numerator) <= 16 * math.ulp(one_numerator)
+        return solution
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0, 1.0 - 1e-5, 1.0 + 1e-5, 1.5, 2.0, 3.0,
+                                   5.0])
+    def test_blocks_of_eight_match_one_block(self, monkeypatch, q):
+        rng = np.random.default_rng(113)
+        spectra = [recipe_spectrum(rng, q) for _ in range(40)]
+        spectra += [Spectrum(rng.random(w)) for w in (2, 7, 8, 9, 17, 300)]
+        for spectrum in spectra:
+            self._assert_as_one_block(monkeypatch, spectrum, q, 8)
+
+    @pytest.mark.parametrize("w, q", [(10**5, 0.5), (10**5, 1.0 + 1e-5), (10**5, 2.0),
+                                      (10**5, 3.0), (10**6, 0.5), (10**6, 0.8), (10**6, 1.0),
+                                      (10**6, 1.5)])
+    def test_many_blocks_match_one_block(self, monkeypatch, w, q):
+        x = np.random.default_rng(127).random(w)
+        if q >= 1.5:
+            x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+        spectrum = Spectrum(x)
+        assert len(shift._blocks(x, x)) > 1
+        solution = self._assert_as_one_block(monkeypatch, spectrum, q, shift._BLOCK)
+        # q = 3 raises ConvergenceError at this W, in blocks as in one (ROADMAP item 2)
+        assert (solution is None) is (q == 3.0)
+        assert solution is None or abs(solution.residual) <= 1e-11
+
+    def test_blocks_are_nearly_equal_and_cover_x(self):
+        x = np.arange(3 * shift._BLOCK + 5.0)
+        blocks = shift._blocks(x, np.empty(shift._BLOCK), np.empty(x.size))
+        lengths = [block.size for block, _ in blocks]
+        assert len(blocks) == 4 and max(lengths) - min(lengths) <= 1 and sum(lengths) == x.size
+        assert np.array_equal(np.concatenate([block for block, _ in blocks]), x)
+        one = np.arange(shift._BLOCK + 0.0)
+        (block, (scratch, p)), = shift._blocks(one, np.empty(one.size), np.empty(one.size))
+        assert block is one
