@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_exp, _deformed_log
+from .core import Distribution, QParam, Spectrum, _deformed_log
 from .entropy import (
     SweepTable,
     bg_entropy,
@@ -261,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace, report: dict) -> _Checks:
 
 
 def _partition_table(args: argparse.Namespace, q_values: list[float], inputs: dict) -> SweepTable:
-    """Tabulate (a, f(a)) on a grid clipped to the valid shift domain."""
+    """Tabulate (a, partition_value(a)) on a grid clipped to the valid shift domain."""
     spectrum = load_spectrum(args.spectrum)
     qp = QParam(q_values[0])
     inputs["spectrum"] = args.spectrum
@@ -287,11 +287,8 @@ def _partition_table(args: argparse.Namespace, q_values: list[float], inputs: di
         raise DomainError("requested shift range lies outside the valid domain")
     if args.points < 2:
         raise ValueError("partition sweep needs at least 2 grid points")
-    grid = a_min + (a_max - a_min) * np.arange(args.points) / (args.points - 1)
-    x, step = spectrum.as_array(), max(1, 2**20 // spectrum.W)  # rows of ~2^20 terms per block
-    f = np.concatenate([_deformed_exp(x - grid[i:i + step, None], qp.q - 1.0).sum(axis=1)
-                        for i in range(0, grid.size, step)])  # partition_value at each point
-    return SweepTable(("a", "f"), tuple(zip(grid.tolist(), f.tolist())))
+    grid = (a_min + (a_max - a_min) * np.arange(args.points) / (args.points - 1)).tolist()
+    return SweepTable(("a", "f"), tuple((a, partition_value(a, spectrum, qp)) for a in grid))
 
 
 def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:

@@ -31,6 +31,8 @@ _NEAR_ONE = 0.125
 #: How far a normalized p may sum from 1 by rounding alone: p_i = w_i / sum(w) misses by up
 #: to 1 eps, and an outer product of two such by 2.5 eps.  See ``_numerator``.
 _ROUNDING = 4.0 * np.finfo(float).eps
+#: elements per block of a W-length pass: a block of x, of p and of the scratch stays in L2
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ class Spectrum(_FrozenVector):
     def scaled(self, factor: float) -> "Spectrum":
         """Spectrum with every value multiplied by ``factor``, built over the product itself."""
         spectrum = Spectrum.__new__(Spectrum)
-        spectrum._hold(np.multiply(self._array, factor, dtype=float), "spectrum")
+        with np.errstate(over="ignore"):  # an overflowing product raises RangeError below
+            spectrum._hold(np.multiply(self._array, factor, dtype=float), "spectrum")
         spectrum._bound()
         return spectrum
 
@@ -186,6 +189,23 @@ def _check_range(arr: np.ndarray) -> None:
     if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0):  # rejects NaN
         bad = arr[~((arr >= 0.0) & (arr <= 1.0))][0]
         raise RangeError(f"probability {float(bad)!r} outside [0, 1]")
+
+
+def _blocks(x: np.ndarray, p: np.ndarray | None = None):
+    """Blocks (x_b, (scratch_b, p_b)) of x and p, of at most ``_BLOCK`` elements, over one scratch.
+
+    The blocks are as nearly equal in length as whole elements allow, and
+    each gets a view of the start of one new scratch, which is one block
+    long, or W long for a spectrum of one block, which gets the arrays
+    themselves.
+    """
+    scratch = np.empty(min(x.size, _BLOCK))
+    if x.size <= _BLOCK:
+        return [(x, (scratch, p))]
+    n = -(-x.size // _BLOCK)
+    edges = [x.size * i // n for i in range(n + 1)]
+    return [(x[i:j], (scratch[:j - i], None if p is None else p[i:j]))
+            for i, j in zip(edges, edges[1:])]
 
 
 def _numerator(q: float, total, shortfall=0.0, rounding=_ROUNDING):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _base,
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _base, _blocks,
                    _deformed_exp, _numerator, _slope)
 from .errors import ConvergenceError, InfeasibleError, SingularityError
 
@@ -30,8 +30,6 @@ RESIDUAL_BOUND = 1e-10
 
 #: |f(a) - 1| at which the Newton iteration stops by default, and its budget of kernel passes
 _SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
-#: elements per block of a W-length pass: a block of x, of p and of the scratch stays in L2
-_BLOCK = 2**15
 
 
 class SolveMethod(enum.Enum):
@@ -117,9 +115,8 @@ def feasibility(spectrum: Spectrum, q: QParam) -> FeasibilityReport:
     if not q.is_super_unit:
         return FeasibilityReport(endpoint_value=0.0, feasible=True)
     x = spectrum.as_array()
-    blocks = _blocks(x, np.empty(min(x.size, _BLOCK)))
     with np.errstate(**_KERNEL_ERRORS):
-        endpoint_value = _endpoint_sum(blocks, spectrum.x_max, q.q - 1.0)
+        endpoint_value = _endpoint_sum(_blocks(x), spectrum.x_max, q.q - 1.0)
     return FeasibilityReport(endpoint_value=endpoint_value, feasible=endpoint_value <= 1.0)
 
 
@@ -211,21 +208,6 @@ def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter:
             if not lo < x < hi:
                 break
     return best[0], best[1], (lo, hi), evaluations
-
-
-def _blocks(x: np.ndarray, scratch: np.ndarray, p: np.ndarray | None = None):
-    """Blocks (x_b, (scratch_b, p_b)) of x and p, of at most ``_BLOCK`` elements, over one scratch.
-
-    The blocks are as nearly equal in length as whole elements allow, and
-    each gets a view of the start of ``scratch``, which is one block long,
-    or W long for a spectrum of one block, which gets the arrays themselves.
-    """
-    if x.size <= _BLOCK:
-        return [(x, (scratch, p))]
-    n = -(-x.size // _BLOCK)
-    edges = [x.size * i // n for i in range(n + 1)]
-    return [(x[i:j], (scratch[:j - i], None if p is None else p[i:j]))
-            for i, j in zip(edges, edges[1:])]
 
 
 def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
@@ -384,7 +366,7 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     last = None  # (a, p, f - 1, the measure's numerator or None) of the latest pass
     ext = x_max if qm1 > 0.0 else x_min  # its base is the smallest, by the same float operations
     p = np.empty(x.size)
-    blocks = _blocks(x, np.empty(min(x.size, _BLOCK)), p)  # fd's workspace
+    blocks = _blocks(x, p)  # fd's workspace
 
     def fd(a: float) -> tuple[float, float]:
         nonlocal last

@@ -179,7 +179,7 @@ class TestSweepCommand:
     def test_partition_rows_equal_partition_value(self, capsys, tmp_path, spectrum_file, w, q):
         from qentropy import QParam, Spectrum, partition_value
 
-        # W = 30000 spreads the 200 rows over several evaluation blocks
+        # W = 30000: each of the 200 rows is one partition_value over 30000 states
         values = [0.0, 0.3, 0.35, 1.2, 2.0] if w == 5 else [i / w for i in range(w)]
         out = tmp_path / "partition.csv"
         code, _ = run(capsys, "sweep", "--partition", "--spectrum", spectrum_file(values),

@@ -188,6 +188,14 @@ class TestMaxentDistribution:
         assert dist.probs == want.probs
         assert solution == want_solution
 
+    def test_overflowing_scaled_spectrum_is_a_range_error(self):
+        # numpy's overflow warning escaped in place of the typed error, under the
+        # repository's error::RuntimeWarning filter
+        with pytest.raises(RangeError):
+            Spectrum([0.0, 1e300]).scaled(1e10)
+        with pytest.raises(RangeError):
+            maxent_distribution(QParam(1.5), Spectrum([0.0, 1e300]), 1e10)
+
 
 class TestSolveBeta:
     def test_uniform_mean_gives_zero_beta(self):
@@ -799,3 +807,28 @@ def test_solver_arguments_raise_value_error(name, bad):
     with pytest.raises(ValueError):
         solve(tol=math.nan if bad == "tol=nan" else -1.0)
     solve()  # the same call with default arguments solves
+
+
+def test_a_repeated_solve_repeats_bit_for_bit():
+    # what the benchmark checks again whenever a result's fingerprint changes; at
+    # W = 10^6 the shift solve runs over many blocks
+    energies = Spectrum(np.random.default_rng(1).random(10**6))
+
+    def shift():
+        dist, solution = shifted_distribution(energies, QParam(0.8))
+        return solution.a0, dist, uncertainty(dist, QParam(0.8))
+
+    def beta():
+        value, dist = solve_beta(QParam(0.5), energies, 0.4)
+        return value, dist, uncertainty(dist, QParam(0.5))
+
+    def escort():
+        solution = escort_distribution(1.3, energies, 2.0)
+        return solution.residual, solution.p, uncertainty(solution.p, QParam(0.7))
+
+    for solve, other in ((shift, beta), (beta, escort), (escort, shift)):
+        first = solve()
+        other()
+        again = solve()
+        assert (first[0], first[2]) == (again[0], again[2])
+        assert first[1].as_array().tobytes() == again[1].as_array().tobytes()

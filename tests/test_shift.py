@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from qentropy import shift
+from qentropy import core, shift
 from qentropy import (
     ConvergenceError,
     DomainError,
@@ -177,7 +177,7 @@ def certified(spectrum, q):
     """Whether the O(1) bound of a solve at q certifies the endpoint sum of ``spectrum`` <= 1/2."""
     x = spectrum.as_array()
     with np.errstate(**shift._KERNEL_ERRORS):  # as in a solve, where the moments may overflow
-        m, squares = shift._moments(shift._blocks(x, np.empty(x.size)), x.size)
+        m, squares = shift._moments(core._blocks(x), x.size)
     return shift._certified(x.size, spectrum.x_min, spectrum.x_max, q - 1.0, m, squares)
 
 
@@ -546,7 +546,7 @@ class TestSolveShift:
         x = np.random.default_rng(97).random(2000) * 0.01
         m, s2 = float(np.mean(x)), float(np.var(x))
         exact = m - 2.0 * (1.0 - math.sqrt(1.0 / x.size - s2 / 4.0))
-        moments = shift._moments(shift._blocks(x, np.empty(x.size)), x.size)
+        moments = shift._moments(core._blocks(x), x.size)
         assert moments[1] == pytest.approx(s2 * x.size, rel=1e-13)
         assert shift._model_start(x.size, *moments, 0.5) == pytest.approx(exact, rel=0, abs=1e-15)
         # undefined where c/b^2 = -2 (q = 3), and beyond a double at q = 300: both
@@ -554,7 +554,7 @@ class TestSolveShift:
         for values, qm1 in (([0.0, 1.0], 2.0), ([0.0] + [1e-300] * 99, 299.0)):
             x = np.array(values)
             jensen = float(np.mean(x)) - shift._z(math.log(x.size), qm1)
-            moments = shift._moments(shift._blocks(x, np.empty(x.size)), x.size)
+            moments = shift._moments(core._blocks(x), x.size)
             assert shift._model_start(x.size, *moments, qm1) == jensen
 
     @pytest.mark.parametrize("q, values", [
@@ -663,7 +663,7 @@ class TestSolveShift:
         if q > 1.0:
             x = x * (0.9 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
         spectrum = Spectrum(x)
-        blocks = len(shift._blocks(x, x))
+        blocks = len(core._blocks(x))
         events, slope_sum, slope, divide = [], shift._slope_sum, shift._slope, np.divide
         minimum = np.minimum
 
@@ -809,7 +809,7 @@ class TestShiftedDistribution:
 
 
 class TestBlocks:
-    """A W-length pass runs over blocks of ``shift._BLOCK`` elements, with one block's scratch."""
+    """A W-length pass runs over blocks of ``core._BLOCK`` elements, with one block's scratch."""
 
     @staticmethod
     def _solve(spectrum, q):
@@ -830,9 +830,9 @@ class TestBlocks:
 
     def _assert_as_one_block(self, monkeypatch, spectrum, q, block):
         """A solve in blocks of ``block`` matches one in one block, up to the roundings of sums."""
-        monkeypatch.setattr(shift, "_BLOCK", spectrum.W)
+        monkeypatch.setattr(core, "_BLOCK", spectrum.W)
         one, one_passes = self._solve(spectrum, q)
-        monkeypatch.setattr(shift, "_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
         blocked, passes = self._solve(spectrum, q)
         monkeypatch.undo()
         assert passes == one_passes
@@ -882,18 +882,23 @@ class TestBlocks:
         if q >= 1.5:
             x = x * (0.25 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
         spectrum = Spectrum(x)
-        assert len(shift._blocks(x, x)) > 1
-        solution = self._assert_as_one_block(monkeypatch, spectrum, q, shift._BLOCK)
+        assert len(core._blocks(x)) > 1
+        solution = self._assert_as_one_block(monkeypatch, spectrum, q, core._BLOCK)
         # q = 3 raises ConvergenceError at this W, in blocks as in one (ROADMAP item 2)
         assert (solution is None) is (q == 3.0)
         assert solution is None or abs(solution.residual) <= 1e-11
 
     def test_blocks_are_nearly_equal_and_cover_x(self):
-        x = np.arange(3 * shift._BLOCK + 5.0)
-        blocks = shift._blocks(x, np.empty(shift._BLOCK), np.empty(x.size))
+        x = np.arange(3 * core._BLOCK + 5.0)
+        p = np.empty(x.size)
+        blocks = core._blocks(x, p)
         lengths = [block.size for block, _ in blocks]
         assert len(blocks) == 4 and max(lengths) - min(lengths) <= 1 and sum(lengths) == x.size
         assert np.array_equal(np.concatenate([block for block, _ in blocks]), x)
-        one = np.arange(shift._BLOCK + 0.0)
-        (block, (scratch, p)), = shift._blocks(one, np.empty(one.size), np.empty(one.size))
-        assert block is one
+        # one scratch of _BLOCK elements for every block, and each block's own part of p
+        assert {scratch.base.size for _, (scratch, _) in blocks} == {core._BLOCK}
+        assert len({scratch.base.ctypes.data for _, (scratch, _) in blocks}) == 1
+        assert all(p_b.base is p for _, (_, p_b) in blocks)
+        one = np.arange(core._BLOCK + 0.0)
+        (block, (scratch, p)), = core._blocks(one, np.empty(one.size))
+        assert block is one and scratch.size == one.size
