@@ -57,7 +57,6 @@ from .maxent import (
 from .shift import (
     FeasibilityReport,
     ShiftSolution,
-    SolveMethod,
     domain_interval,
     feasibility,
     partition_derivative,
@@ -85,7 +84,6 @@ __all__ = [
     "RangeError",
     "ShiftSolution",
     "SingularityError",
-    "SolveMethod",
     "Spectrum",
     "StepError",
     "SweepTable",

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Distribution, QParam, Spectrum, _deformed_log
+from .core import Distribution, QParam, Spectrum
 from .entropy import (
     SweepTable,
     bg_entropy,
@@ -209,7 +209,6 @@ def _cmd_shift(args: argparse.Namespace, report: dict) -> _Checks:
     report["results"] = {
         "a0": solution.a0,
         "residual": solution.residual,
-        "method": solution.method.value,
         "bracket": list(solution.bracket),
         "iterations": solution.iterations,
         "feasibility": feas_dict,
@@ -300,20 +299,11 @@ def _cmd_maxent(args: argparse.Namespace, report: dict) -> _Checks:
     if args.beta is not None:
         beta = args.beta
         dist, solution = maxent_distribution(qp, spectrum, beta)
-        a0, residual = solution.a0, solution.residual
     else:
-        # solve_beta's own p, with a0 recovered at its largest probability and its
-        # residual f(a0) - 1 from one kernel pass.  Where rounding leaves that above
-        # the bound (f's noise near q = 1, or p^(q-1) underflowing), a shift solve
-        # looks for an a0 that meets it, and raises when none does
+        # solve_beta's own p, with a0 and its residual from one shift solve at its beta
         beta, dist = solve_beta(qp, spectrum, args.target_u)
-        p, scaled = dist.as_array(), spectrum.scaled(beta)
-        k = int(np.argmax(p))
-        a0 = float(beta * spectrum.as_array()[k] - _deformed_log(p[k:k + 1], qp.q - 1.0)[0])
-        residual = partition_value(a0, scaled, qp) - 1.0
-        if not abs(residual) <= RESIDUAL_BOUND:
-            solution = solve_shift(scaled, qp)
-            a0, residual = solution.a0, solution.residual
+        solution = solve_shift(spectrum.scaled(beta), qp)
+    a0, residual = solution.a0, solution.residual
     try:
         stationarity = _stationarity(qp, spectrum, beta, dist, a0)
     except DomainError:

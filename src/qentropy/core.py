@@ -1,4 +1,4 @@
-"""Domain types and the q-deformed exponential and logarithm kernels.
+"""Domain types, the q-deformed exponential and logarithm kernels, and the root iteration.
 
 The deformed exponential used throughout is
 
@@ -321,3 +321,39 @@ def _deformed_log(p, qm1: float):
         return np.negative(z, out=z)
     z *= qm1
     return np.divide(np.expm1(z, out=z), -qm1, out=z)
+
+
+def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter: int):
+    """Root of an increasing g on [lo, hi], given g(lo) <= 0 <= g(hi).
+
+    ``fd(x)`` returns (g(x), g'(x)).  The iteration starts at x and
+    moves each evaluated point onto the matching end of the bracket.
+    The next point is the Newton step when it lands strictly inside the
+    bracket, and the midpoint otherwise.  It stops once |g| <= tol,
+    after ``max_iter`` evaluations, when no float is left between the
+    ends, or when a Newton step with a finite, positive slope rounds
+    back to x: the root then lies within half an ulp of x, where
+    bisecting the bracket down would only end again.  Returns
+    (x, g(x), (lo, hi), evaluations) for the evaluated x of smallest |g|.
+    """
+    best, evaluations = (x, math.inf), 0
+    for evaluations in range(1, max_iter + 1):
+        g, dg = fd(x)
+        if abs(g) < abs(best[1]):
+            best = (x, g)
+        if abs(g) <= tol:
+            break
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - g / dg if 0.0 < dg < math.inf else math.nan
+        if step == x:
+            break
+        if lo < step < hi:
+            x = step
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+    return best[0], best[1], (lo, hi), evaluations

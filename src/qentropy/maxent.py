@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp,
-                   _deformed_exp1p, _deformed_log)
+                   _deformed_exp1p, _deformed_log, _newton_in_bracket)
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -30,7 +30,7 @@ from .errors import (
     NormalizationError,
     RangeError,
 )
-from .shift import ShiftSolution, _newton_in_bracket, shifted_distribution
+from .shift import ShiftSolution, shifted_distribution
 
 
 @dataclass(frozen=True)

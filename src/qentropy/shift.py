@@ -15,26 +15,20 @@ explicit partition factor.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _base, _blocks,
-                   _deformed_exp, _numerator, _slope)
-from .errors import ConvergenceError, InfeasibleError, SingularityError
+                   _deformed_exp, _deformed_exp1p, _newton_in_bracket, _numerator, _slope)
+from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
 RESIDUAL_BOUND = 1e-10
 
 #: |f(a) - 1| at which the Newton iteration stops by default, and its budget of kernel passes
 _SHIFT_TOL, _SHIFT_PASSES = 1e-12, 200
-
-
-class SolveMethod(enum.Enum):
-    BISECTION = "bisection"  # a q > 1 root on the domain endpoint, taken as is
-    BISECTION_THEN_NEWTON = "bisection_then_newton"  # bracketed Newton steps
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class ShiftSolution:
     residual: float             # f(a0) - 1
     bracket: tuple[float, float]
     iterations: int
-    method: SolveMethod
 
 
 @dataclass(frozen=True)
@@ -75,32 +68,37 @@ def domain_interval(spectrum: Spectrum, q: QParam) -> tuple[float, float]:
 
 
 def partition_value(a: float, spectrum: Spectrum, q: QParam) -> float:
-    """f(a): the partition sum at shift a.  Strictly increasing in a."""
+    """f(a): the partition sum at shift a.  Strictly increasing in a.
+
+    It is the shift solve's own pass (:func:`_sum_pass`), so a solve's
+    ``residual`` is ``partition_value(a0) - 1`` bit for bit.  Its smallest
+    base, formed from x_max (x_min for q <= 1) by the pass's float
+    operations, raises :class:`DomainError` where it is negative.
+    """
+    qm1 = q.q - 1.0
+    lowest = ((spectrum.x_max if qm1 > 0.0 else spectrum.x_min) - a) * -qm1 + 1.0
+    if lowest < 0.0:
+        raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
     with np.errstate(**_KERNEL_ERRORS):
-        return float(_deformed_exp(spectrum.as_array() - a, q.q - 1.0).sum())
+        return _sum_pass(_blocks(spectrum.as_array()), a, qm1, lowest)
 
 
 def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
-    """f'(a) = sum_i [1 - (q-1)(x_i - a)]^(1/(q-1) - 1); always positive.
+    """f'(a) = sum_i [1 - (q-1)(x_i - a)]^(1/(q-1) - 1); positive.
 
-    Each term is one power of its base, so it is finite wherever its value
-    is, also where p_i itself overflows.  Where the base overflows, the 1
-    in it lies below its rounding, and the term is exp(e ln|(q-1)(x_i - a)|)
-    for the exponent e = (2-q)/(q-1).  The base comes from the kernel,
-    which raises :class:`DomainError` where it is negative.  When e is
-    negative (q < 1 or q > 2) the derivative is singular at a base of
-    exactly zero, which raises :class:`SingularityError`.
+    Each term is p_i^(2-q) = exp(log1p(t_i) (2-q)/(q-1)) for the base
+    1 + t_i (:func:`~qentropy.core._deformed_exp1p`), so it is finite
+    wherever its value is, also where p_i itself overflows.  A t_i beyond
+    a double, which takes |x_i - a| > 1.8e308/(q - 1) at q > 2, gives a
+    term of 0.  A negative base raises :class:`DomainError`.  Where the
+    exponent (2-q)/(q-1) is negative (q < 1 or q > 2) the derivative is
+    singular at a base of exactly zero, which raises :class:`SingularityError`.
     """
-    qm1, x = q.q - 1.0, spectrum.as_array()
+    qm1 = q.q - 1.0
     with np.errstate(**_KERNEL_ERRORS):
-        base = np.subtract(x, a)
-        p = _deformed_exp(base, qm1, out=np.empty(x.size))  # leaves the base in base
-        if qm1 == 0.0:
-            return float(np.add.reduce(p))
-        huge, e = np.isinf(base), (1.0 - qm1) / qm1
-        slope = np.power(base, e, out=base)
-        if huge.any():
-            slope[huge] = np.exp(e * (math.log(abs(qm1)) + np.log(np.abs(x[huge] - a))))
+        t = np.subtract(spectrum.as_array(), a)
+        slope = np.empty(t.size)
+        _deformed_exp1p(np.multiply(t, -(qm1 or 1.0), out=t), qm1, w=slope)
         if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
             raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
         return float(np.add.reduce(slope))  # inf where the sum overflows
@@ -174,62 +172,20 @@ def _certified(w: int, x_min: float, x_max: float, qm1: float, m: float, squares
     return bound * math.exp(3.0 * k * 2.0**-53) * (1.0 + 2.0**-30 + w * eps) + w * eps <= 0.5
 
 
-def _newton_in_bracket(fd, x: float, lo: float, hi: float, tol: float, max_iter: int):
-    """Root of an increasing g on [lo, hi], given g(lo) <= 0 <= g(hi).
-
-    ``fd(x)`` returns (g(x), g'(x)).  The iteration starts at x and
-    moves each evaluated point onto the matching end of the bracket.
-    The next point is the Newton step when it lands strictly inside the
-    bracket, and the midpoint otherwise.  It stops once |g| <= tol,
-    after ``max_iter`` evaluations, when no float is left between the
-    ends, or when a Newton step with a finite, positive slope rounds
-    back to x: the root then lies within half an ulp of x, where
-    bisecting the bracket down would only end again.  Returns
-    (x, g(x), (lo, hi), evaluations) for the evaluated x of smallest |g|.
-    """
-    best, evaluations = (x, math.inf), 0
-    for evaluations in range(1, max_iter + 1):
-        g, dg = fd(x)
-        if abs(g) < abs(best[1]):
-            best = (x, g)
-        if abs(g) <= tol:
-            break
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = x - g / dg if 0.0 < dg < math.inf else math.nan
-        if step == x:
-            break
-        if lo < step < hi:
-            x = step
-        else:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-    return best[0], best[1], (lo, hi), evaluations
-
-
-def _kernel_pass(x: np.ndarray, a: float, qm1: float, lowest: float,
-                 work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """p of one kernel pass at shift a into ``work[1]``, its base left in ``work[0]``.
-
-    ``work`` is two float arrays the size of x, and ``lowest`` the
-    smallest base.  Bases a rounding error below zero at the q > 1
-    endpoint count as 0.
-    """
-    return _deformed_exp(np.subtract(x, a, work[0]), qm1, True, work[1], lowest)
-
-
 # Each loop over blocks below sums their parts from -0.0, the identity of float
 # addition, so that one block's sum is its part bit for bit.
 
 def _sum_pass(blocks, a: float, qm1: float, lowest: float) -> float:
-    """f(a): one :func:`_kernel_pass` per block, each summed while it is in cache."""
+    """f(a): one kernel pass per block of :func:`~qentropy.core._blocks`, summed while in cache.
+
+    Each block's p goes into its part of p, or over its base where p is
+    None, and its base is left in the scratch.  ``lowest`` is the smallest
+    base; bases a rounding error below zero at the q > 1 endpoint count as 0.
+    """
     total = -0.0
-    for x, work in blocks:
+    for x, (base, p) in blocks:
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
-        total += float(np.add.reduce(_kernel_pass(x, a, qm1, lowest, work)))
+        total += float(np.add.reduce(_deformed_exp(np.subtract(x, a, base), qm1, True, p, lowest)))
     return total
 
 
@@ -324,39 +280,18 @@ def _model_start(w: int, m: float, squares: float, qm1: float) -> float:
 def _solve(spectrum: Spectrum, q: QParam, tol: float):
     """:func:`solve_shift`'s solve: the root a0 of f(a) = 1, the kernel pass at a0, its measure.
 
-    The Newton iteration runs on h = (f^(q-1) - 1)/(q-1) (log f at
-    q = 1), which has the sign of f - 1 and is nearly linear in a; it
-    stops once |h| <= max(``tol``, eps_q), which is |f - 1| <=
-    max(``tol``, eps_q) to within a relative O(``tol``), and a pass that
-    does not stop it also sums h' = f^(q-2) f'.  eps_q = 2^-53/|q - 1|,
-    at most ``RESIDUAL_BOUND``/4 and 0 at q = 1, is the rounding of one
-    base 1 - (q-1)(x_i - a) carried through the power 1/(q-1): below it
-    f - 1 is rounding noise, which no further pass resolves.  It begins
-    at the log-sum-exp root at q = 1 and at :func:`_model_start`
-    otherwise, clamped into the bracket, and takes at most
-    ``_SHIFT_PASSES`` passes.  Returns (solution, p, numerator) with p at
-    ``solution.a0`` and the residual f(a0) - 1, never NaN: when the
+    Returns (solution, p, numerator).  p is the solve's own W-length array,
+    the pass at ``solution.a0``, which no later solve reuses; where the
     iteration's best point came before its last pass, one more pass
-    evaluates them there.  p is the solve's own W-length array, which no
-    later solve reuses.  Each W-length pass runs over the blocks of
-    :func:`_blocks`, so that a block of x, of p and of the one-block
-    scratch stays in cache from its subtract to its sum; the scratch holds
-    the block's base, which a second loop over the blocks, on the slope or
-    the measure, forms again where there are several.  A spectrum of one
-    block runs each loop once, on the arrays themselves.  numerator is the
-    measure's 1 - sum p^q (:func:`_pass_numerator`) of a pass meeting the
-    tolerance.  It is None where the last pass missed the tolerance, a pass
-    that for q != 1 writes the slope over its base, or where it is not
-    finite.  For q > 1 the moments of the start come first, and
-    :func:`_certified` bounds the endpoint sum by them in O(1); only where
-    the bound cannot show it at most 1/2 is the exact sum
-    (:func:`_endpoint_sum`), one power per state, formed.  Near q = 1 nearly
-    every one of those powers underflows, on numpy's slow path.  At most
-    1/2, the solve is feasible and its root is not the endpoint, as the
-    exact sum would have found.  The endpoint is clamped to at most x_min,
-    where it lies before rounding wherever the exact sum is at most 1, so
-    that a0 <= x_min always: each base then lies on the side of 1 whose
-    power is in [0, 1].
+    evaluates it, so the residual is that pass's f(a0) - 1, never NaN.
+    Since a0 <= x_min, each base lies on the side of 1 whose power is in
+    [0, 1].  numerator is the measure's 1 - sum p^q (:func:`_pass_numerator`)
+    of a pass meeting the tolerance; it is None where the last pass missed
+    the tolerance (for q != 1 that pass wrote the slope over its base) or
+    where it is not finite.  Each pass has a one-block scratch
+    (:func:`~qentropy.core._blocks`) that holds a block's base, which a
+    second loop over the blocks, on the slope or the measure, forms again
+    where there are several.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -405,21 +340,12 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
                         f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
             # at most x_min, as it is before rounding wherever the sum is at most 1
             endpoint = min(x_max - 1.0 / qm1, x_min)
-            if endpoint_value == 1.0:
-                # the root is the endpoint itself, where f' can be singular
-                fd(endpoint)
-                if not abs(last[2]) <= RESIDUAL_BOUND:
-                    raise ConvergenceError(f"endpoint residual {last[2]} above bound")
-                return (ShiftSolution(endpoint, last[2], (endpoint, endpoint), 0,
-                                      SolveMethod.BISECTION), last[1], last[3])
-            lo = max(lo, endpoint)  # f(endpoint) = endpoint_value < 1
+            lo = max(lo, endpoint)  # f(endpoint) = endpoint_value <= 1
         if qm1 == 0.0:
             # the root itself, within an ulp: every term of the sum is at most 1, and one is 1
-            total = -0.0
-            for x_b, (terms, _) in blocks:
-                np.subtract(x_min, x_b, out=terms)
-                total += float(np.add.reduce(np.exp(terms, out=terms)))
-            start = x_min - math.log(total)
+            start = x_min - math.log(_sum_pass(blocks, x_min, 0.0, 1.0))
+        elif qm1 > 0.0 and endpoint_value == 1.0:
+            start = lo  # the root is the endpoint itself, where f' can be singular
         else:
             start = _model_start(x.size, m, squares, qm1)
         start = hi if not start < hi else max(start, lo)  # a NaN start, where m overflows, too
@@ -430,8 +356,7 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
         raise ConvergenceError(
             f"solver stopped with residual {last[2]} after {iterations} iterations"
         )
-    return (ShiftSolution(a0, last[2], bracket, iterations, SolveMethod.BISECTION_THEN_NEWTON),
-            last[1], last[3])
+    return ShiftSolution(a0, last[2], bracket, iterations), last[1], last[3]
 
 
 def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> ShiftSolution:
@@ -440,9 +365,11 @@ def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> Shift
     The solve brackets the root in closed form.  Term i equals 1/n at
     a = x_i - z_n, so f(x_min - z_2W) <= 1/2 and f(x_min) >= 1; the lower
     end is clipped up to the domain endpoint for q > 1.  At q = 1 Newton
-    steps start at the root x_min - log sum exp(x_min - x_i) itself,
-    within an ulp, so that the first pass confirms it.  Otherwise they
-    start at the root of f's second-order moment model
+    steps start at the root x_min - log f(x_min) itself, within an ulp,
+    from one pass at x_min, so that the first pass of the iteration
+    confirms it.  A q > 1 root on the domain endpoint, clamped to at most
+    x_min, starts them there, and the first pass confirms it too.
+    Otherwise they start at the root of f's second-order moment model
     W e(m - a)(1 + c/b^2) = 1 (:func:`_model_start`), with m and
     s2 the mean and variance of x, b = 1 - (q-1)(m - a) and
     c = (2-q) s2/2, which is exact for W = 1, for a flat spectrum, at
@@ -462,15 +389,14 @@ def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> Shift
     it exceeds the default ``tol`` only for |q - 1| < 1.12e-4.  They also
     stop once a Newton step rounds back to its own point, where the root
     lies within half an ulp of it.  ``iterations`` counts those kernel
-    passes, at least 1, and ``residual`` is f(a0) - 1 itself.  Each pass,
-    and the moments, run over blocks of x of about 2^15 states, which stay
-    in cache, with one W-length array for p and a one-block scratch; below
+    passes, at least 1, and ``residual`` is f(a0) - 1 itself, bit for bit
+    ``partition_value(a0) - 1``, which is the same pass.  Each pass, and
+    the moments, run over blocks of x of about 2^15 states, which stay in
+    cache, with one W-length array for p and a one-block scratch; below
     2^15 states each runs once, and the sums of several blocks add up
-    their partial sums.  A q > 1 root on the domain endpoint, clamped to
-    at most x_min, is taken as is, with 0 iterations and method
-    ``BISECTION``.  Whether a q > 1 root exists is decided first in O(1),
-    from the mean and the sum of squares that the start needs anyway: the
-    endpoint sum sum_i (qm1 g_i)^(1/qm1), with g_i = x_max - x_i, is at most
+    their partial sums.  Whether a q > 1 root exists is decided first in
+    O(1), from the mean and the sum of squares that the start needs anyway:
+    the endpoint sum sum_i (qm1 g_i)^(1/qm1), with g_i = x_max - x_i, is at most
     (W - 1)(qm1 span)^(1/qm1), and is bounded by power means of sum g and
     sum g^2 where 1/qm1 >= 1 and by Jensen's inequality below
     (:func:`_certified`).  Where a bound shows it at most 1/2, as for W = 1

@@ -35,7 +35,7 @@ class TestShiftCommand:
         assert report["status"] == "ok"
         assert report["command"] == "shift"
         assert report["results"]["a0"] == pytest.approx(-0.3, abs=1e-15)
-        assert report["results"]["method"] == "bisection_then_newton"
+        assert "method" not in report["results"]
         assert abs(report["results"]["residual"]) <= 1e-10
         assert report["results"]["feasibility"]["feasible"] is True
 
@@ -236,15 +236,20 @@ class TestMaxentCommand:
     def test_target_mode_reports_the_beta_solves_own_p(self, capsys, monkeypatch, spectrum_file, q):
         values = [0.0, 0.1, 0.35, 0.5, 0.9]
         beta, dist = maxent.solve_beta(QParam(q), Spectrum(values), 0.3)
+        solves, solve = [], shift._solve
 
-        def no_shift_solve(*args, **kwargs):
-            raise AssertionError("a second shift solve ran")
+        def no_maxent_solve(*args, **kwargs):
+            raise AssertionError("the maximizer was solved again")
 
-        monkeypatch.setattr(cli, "maxent_distribution", no_shift_solve)
-        monkeypatch.setattr(shift, "_solve", no_shift_solve)
+        def counted(*args):
+            solves.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "maxent_distribution", no_maxent_solve)
+        monkeypatch.setattr(shift, "_solve", counted)
         code, report = run(capsys, "maxent", spectrum_file(values), "--q", str(q),
                            "--target-u", "0.3")
-        assert code == 0
+        assert code == 0 and len(solves) == 1  # the shift solve of a0, and no other
         results = report["results"]
         assert results["beta"] == beta and results["p"] == list(dist.probs)
         monkeypatch.undo()
@@ -256,8 +261,8 @@ class TestMaxentCommand:
         assert results["stationarity_residual"] <= 1e-8
 
     def test_target_mode_falls_back_to_a_shift_solve(self, capsys, spectrum_file):
-        # at q = 1 - 1e-7 f rounds to within a few 1e-10, and the a0 recovered from
-        # p misses the bound there; a shift solve finds one that meets it
+        # at q = 1 - 1e-7 f rounds to within a few 1e-10, and an a0 recovered from p
+        # misses the bound there; the shift solve that gives a0 finds one that meets it
         values, q = [0.512, 0.95, 0.144, 0.949, 0.312, 0.423], QParam(0.9999999)
         beta, dist = maxent.solve_beta(q, Spectrum(values), 0.386)
         p = dist.as_array()
@@ -271,6 +276,20 @@ class TestMaxentCommand:
         results, solved = report["results"], shift.solve_shift(scaled, q)
         assert results["beta"] == beta and results["p"] == list(dist.probs)
         assert results["a0"] == solved.a0 and results["residual"] == solved.residual
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 - 1e-5, 1.0, 1.0 + 1e-7, 1.5, 3.0])
+    def test_target_mode_takes_a0_from_one_shift_solve(self, capsys, spectrum_file, q):
+        # a0 and its residual are solve_shift's on the scaled spectrum, bit for bit, and p is
+        # still solve_beta's own, not the shift solve's pass at a0
+        values = [0.0, 0.1, 0.35, 0.5, 0.9, 0.93]
+        beta, dist = maxent.solve_beta(QParam(q), Spectrum(values), 0.4)
+        code, report = run(capsys, "maxent", spectrum_file(values), "--q", repr(q),
+                           "--target-u", "0.4")
+        assert code == 0
+        results = report["results"]
+        solved = shift.solve_shift(Spectrum(values).scaled(beta), QParam(q))
+        assert results["beta"] == beta and results["p"] == list(dist.probs)
+        assert (results["a0"], results["residual"]) == (solved.a0, solved.residual)
 
     def test_uniform_at_zero_beta(self, capsys, spectrum_file):
         path = spectrum_file([0, 1])
