@@ -3,15 +3,16 @@
 The package covers four pieces that fit together:
 
 * ``core`` -- the QParam / Spectrum / Distribution value types, and the
-  array kernels of the deformed exponential [1 - (q-1)x]^(1/(q-1)) and
-  of its inverse, the deformed logarithm;
+  one array kernel of the deformed exponential [1 - (q-1)x]^(1/(q-1)),
+  in log1p form, with its inverse, the deformed logarithm;
 * ``shift`` -- solving f(a0) = 1 so the distribution normalizes itself,
-  including the exact existence test for q > 1;
+  including the exact existence test for q > 1, on its own pass in the
+  power form;
 * ``entropy`` -- the uncertainty measure (1 - sum p^q)/(q(q-1)), its
   Boltzmann-Gibbs and Tsallis baselines, the non-additive composition
   law, and figure-ready sweeps;
-* ``maxent`` -- the Lagrange-multiplier reconstruction of the same
-  distribution, beta inversion against a target mean energy, and the
+* ``maxent`` -- the same distribution as the constrained maximizer at a
+  multiplier beta, beta inversion against a target mean energy, and the
   contrasting self-referential escort fixed point.
 """
 
@@ -45,12 +46,9 @@ from .errors import (
 )
 from .maxent import (
     EscortSolution,
-    LagrangeParams,
     escort_distribution,
-    lagrange_distribution,
     maxent_distribution,
     mean_energy,
-    shift_from_alpha,
     solve_beta,
     stationarity_residual,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "EscortSolution",
     "FeasibilityReport",
     "InfeasibleError",
-    "LagrangeParams",
     "NormalizationError",
     "QParam",
     "QentropyError",
@@ -92,13 +89,11 @@ __all__ = [
     "domain_interval",
     "escort_distribution",
     "feasibility",
-    "lagrange_distribution",
     "max_uncertainty",
     "maxent_distribution",
     "mean_energy",
     "partition_derivative",
     "partition_value",
-    "shift_from_alpha",
     "shifted_distribution",
     "solve_beta",
     "solve_shift",

@@ -1,4 +1,4 @@
-"""Domain types, the q-deformed exponential and logarithm kernels, and the root iteration.
+"""Domain types, the q-deformed exponential kernel and its inverse, and the root iteration.
 
 The deformed exponential used throughout is
 
@@ -8,7 +8,10 @@ The deformed exponential used throughout is
 which is strictly decreasing in x on its domain and reduces to the
 ordinary exponential in the q -> 1 limit.  ``QParam`` carries the
 deformation index, ``Spectrum`` a finite list of random-variable values,
-and ``Distribution`` a validated probability vector.
+and ``Distribution`` a validated probability vector.  The one array
+kernel, ``_deformed_exp1p``, forms it as exp(log1p(t)/(q-1)) from t, the
+base minus 1, and ``_deformed_log`` inverts it.  The shift solve keeps
+its own pass in the power form (``shift._deformed_exp``).
 """
 
 from __future__ import annotations
@@ -226,61 +229,12 @@ def _numerator(q: float, total, shortfall=0.0, rounding=_ROUNDING):
     return shortfall - total
 
 
-def _deformed_exp(z, qm1: float, cutoff: bool = False, out=None, lowest: float | None = None):
-    """The deformed exponential [1 - (q-1) z_i]^(1/(q-1)) of a float array z.
-
-    ``qm1`` is q - 1; at 0 this is exp(-z_i).  A negative base raises
-    :class:`DomainError`, or evaluates to 0 under ``cutoff``.  ``lowest``,
-    the smallest base where the caller knows it, saves a pass.
-
-    The base 1 - qm1 z (-z at q = 1) is left in ``z``, and p goes into
-    ``out`` (over z when None), so :func:`_slope` can follow.  The caller
-    owns numpy's error state, which must be ``np.errstate(**_KERNEL_ERRORS)``.
-    """
-    out = z if out is None else out
-    _base(z, qm1)
-    if qm1 == 0.0:
-        return np.exp(z, out=out)
-    if lowest is None:
-        lowest = np.minimum.reduce(z, None)
-    if lowest < 0.0 and not cutoff:
-        raise DomainError(f"negative base in the deformed exponential (q - 1 = {qm1})")
-    # p is 0 at a negative base, whose power is nan or has the wrong sign
-    zero = (z <= 0.0 if qm1 > 0.0 else z < 0.0) if lowest <= 0.0 else None
-    p = np.power(z, 1.0 / qm1, out=out)
-    if zero is not None:
-        p[zero] = 0.0
-    return p
-
-
-def _base(z, qm1: float):
-    """The base 1 - qm1 z of :func:`_deformed_exp`, bit for bit, written over z; -z at qm1 = 0."""
-    if qm1 == 0.0:
-        return np.negative(z, out=z)
-    z *= -qm1
-    z += 1.0
-    return z
-
-
-def _slope(p, base, qm1: float, lowest: float):
-    """p^(2-q) = p / base of a :func:`_deformed_exp` pass, written over its base.
-
-    Once ``lowest``, the smallest base, is <= 0, p^(2-q) at p = 0 replaces -0 and 0/0 where p is 0.
-    """
-    if qm1 == 0.0:
-        return p
-    dp = np.divide(p, base, out=base)
-    if lowest <= 0.0:
-        dp[p == 0.0] = np.power(0.0, 1.0 - qm1)
-    return dp
-
-
 def _deformed_exp1p(t, qm1: float, cutoff: bool = False, w=None, lowest: float | None = None):
     """The deformed exponential [1 + t_i]^(1/(q-1)) of a float array t, as exp(log1p(t)/(q-1)).
 
-    t = -(q-1) z is the base minus 1 for the argument z of :func:`_deformed_exp`,
-    and at ``qm1`` = q - 1 = 0 it is -z, where this is exp(t).  The rounding of
-    t enters once, where the power form carries the rounding of the base
+    For the deformed exponential at z, t = -(q-1) z is its base minus 1, and
+    -z at ``qm1`` = q - 1 = 0, where this is exp(t).  The rounding of t
+    enters once, where the power form carries the rounding of the base
     1 - (q-1) z times 1/|q - 1|, so p keeps its relative accuracy as q -> 1.
     p is written over t.  ``w``, an array the size of t, receives
     p^(2-q) = exp(log1p(t) (2-q)/(q-1)) from the same logarithm, a copy of p
@@ -311,7 +265,7 @@ def _deformed_exp1p(t, qm1: float, cutoff: bool = False, w=None, lowest: float |
 
 
 def _deformed_log(p, qm1: float):
-    """The inverse of :func:`_deformed_exp`: z with p_i = [1 - (q-1) z_i]^(1/(q-1)), for p > 0.
+    """The inverse of the deformed exponential: z with p_i = [1 - (q-1) z_i]^(1/(q-1)), for p > 0.
 
     ``qm1`` is q - 1, and z = -expm1(qm1 ln p) / qm1 comes back in a new array;
     at 0 this is -ln p.  Unlike (1 - p^qm1) / qm1, nothing cancels as q -> 1.

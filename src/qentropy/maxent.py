@@ -4,10 +4,11 @@ Maximizing the uncertainty measure under normalization and a mean-energy
 constraint (multipliers alpha and beta) yields exactly the shifted
 q-exponential on the scaled spectrum {beta * eps_i}: the stationarity
 condition reads p_i^(q-1) = (1-q) alpha - (q-1) beta eps_i, which is the
-deformed factor with shift a = -1/(q-1) - alpha.  The contrasting escort
-construction is self-referential -- its right-hand side depends on the
-distribution being solved for -- yet its fixed point is the maximizer at
-q = 2 - q_tilde for one multiplier b, the root of a scalar equation.  As
+deformed factor with shift a = -1/(q-1) - alpha.  So the maximizer is
+one shift solve on {beta eps_i}, whose a0 gives alpha.  The contrasting
+escort construction is self-referential -- its right-hand side depends on
+the distribution being solved for -- yet its fixed point is the maximizer
+at q = 2 - q_tilde for one multiplier b, the root of a scalar equation.  As
 the maximizer's base is affine in (a, beta), both that root and the beta
 inversion are bracketed Newton steps on one scalar along a ray of fixed
 shape, where normalization is a division: one kernel pass per probe.
@@ -20,30 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp,
-                   _deformed_exp1p, _deformed_log, _newton_in_bracket)
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _deformed_exp1p,
+                   _deformed_log, _newton_in_bracket)
 from .errors import (
     BracketError,
     ConvergenceError,
     DomainError,
     InfeasibleError,
-    NormalizationError,
     RangeError,
 )
 from .shift import ShiftSolution, shifted_distribution
-
-
-@dataclass(frozen=True)
-class LagrangeParams:
-    """Multipliers (alpha for normalization, beta for energy) plus energies."""
-
-    alpha: float
-    beta: float
-    energies: Spectrum
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha) or not math.isfinite(self.beta):
-            raise RangeError("multipliers must be finite")
 
 
 @dataclass(frozen=True)
@@ -54,35 +41,6 @@ class EscortSolution:
     residual: float     # max component mismatch under one undamped map application
     iterations: int     # probes of the root solve, each one kernel pass; 0 in closed form
     converged: bool     # always true: a solve that fails raises
-
-
-def shift_from_alpha(q: QParam, alpha: float) -> float:
-    """Shift equivalent to the normalization multiplier.
-
-    a = -1/(q-1) - alpha for q != 1.  The classical branch uses the
-    log-normalizer convention a = -alpha, i.e. alpha = ln sum exp(-x).
-    The map is its own inverse, so it also gives alpha from a shift.
-    """
-    if q.is_classical:
-        return -alpha
-    return -1.0 / (q.q - 1.0) - alpha
-
-
-def lagrange_distribution(q: QParam, params: LagrangeParams) -> Distribution:
-    """Evaluate p_i = [1 - (q-1)(beta eps_i - a)]^(1/(q-1)) from raw multipliers.
-
-    The caller's alpha must already be consistent: the vector is
-    required to sum to 1 within 1e-9, otherwise
-    :class:`NormalizationError` is raised.  A negative base raises
-    :class:`DomainError` (strict policy).
-    """
-    a = shift_from_alpha(q, params.alpha)
-    with np.errstate(**_KERNEL_ERRORS):
-        probs = _deformed_exp(params.beta * params.energies.as_array() - a, q.q - 1.0)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(f"multipliers inconsistent: probabilities sum to {total}")
-    return Distribution(probs)
 
 
 def maxent_distribution(

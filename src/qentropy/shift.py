@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _base, _blocks,
-                   _deformed_exp, _deformed_exp1p, _newton_in_bracket, _numerator, _slope)
+from .core import (Distribution, QParam, Spectrum, _KERNEL_ERRORS, _NEAR_ONE, _blocks,
+                   _deformed_exp1p, _newton_in_bracket, _numerator)
 from .errors import ConvergenceError, DomainError, InfeasibleError, SingularityError
 
 #: contract on every successful solve: |f(a0) - 1| <= RESIDUAL_BOUND.
@@ -89,16 +89,24 @@ def partition_derivative(a: float, spectrum: Spectrum, q: QParam) -> float:
     Each term is p_i^(2-q) = exp(log1p(t_i) (2-q)/(q-1)) for the base
     1 + t_i (:func:`~qentropy.core._deformed_exp1p`), so it is finite
     wherever its value is, also where p_i itself overflows.  A t_i beyond
-    a double, which takes |x_i - a| > 1.8e308/(q - 1) at q > 2, gives a
-    term of 0.  A negative base raises :class:`DomainError`.  Where the
-    exponent (2-q)/(q-1) is negative (q < 1 or q > 2) the derivative is
-    singular at a base of exactly zero, which raises :class:`SingularityError`.
+    a double, which takes |x_i - a| > 1.8e308/(q - 1) at q > 2, has the
+    logarithm log(q - 1) + log(a - x_i), formed from halves of a and x_i,
+    so that a - x_i does not overflow either.  A negative base raises
+    :class:`DomainError`.  Where the exponent (2-q)/(q-1) is negative (q < 1
+    or q > 2) the derivative is singular at a base of exactly zero, which
+    raises :class:`SingularityError`.
     """
-    qm1 = q.q - 1.0
+    qm1, x = q.q - 1.0, spectrum.as_array()
     with np.errstate(**_KERNEL_ERRORS):
-        t = np.subtract(spectrum.as_array(), a)
+        t = np.subtract(x, a)
+        np.multiply(t, -(qm1 or 1.0), out=t)
+        # the largest t_i, by the same float operations, is the one at x_min
+        huge = np.isinf(t) if qm1 > 1.0 and math.isinf((spectrum.x_min - a) * -qm1) else None
         slope = np.empty(t.size)
-        _deformed_exp1p(np.multiply(t, -(qm1 or 1.0), out=t), qm1, w=slope)
+        _deformed_exp1p(t, qm1, w=slope)
+        if huge is not None:
+            log_t = np.log(0.5 * a - 0.5 * x[huge]) + math.log(2.0 * qm1)
+            slope[huge] = np.exp(log_t * ((1.0 - qm1) / qm1))
         if not 1.0 <= q.q <= 2.0 and np.isinf(slope).any():
             raise SingularityError(f"derivative singular at domain endpoint (q={q.q})")
         return float(np.add.reduce(slope))  # inf where the sum overflows
@@ -172,6 +180,50 @@ def _certified(w: int, x_min: float, x_max: float, qm1: float, m: float, squares
     return bound * math.exp(3.0 * k * 2.0**-53) * (1.0 + 2.0**-30 + w * eps) + w * eps <= 0.5
 
 
+def _base(x, a: float, qm1: float, out):
+    """The base 1 - (q-1)(x_i - a) of each term of f(a), into ``out``; a - x_i, its log, at q = 1.
+
+    Every pass forms it by these float operations, so the smallest base is
+    the one at x_max for q > 1 and at x_min for q < 1, formed from that one
+    value alike.
+    """
+    if qm1 == 0.0:
+        return np.subtract(a, x, out=out)
+    np.subtract(x, a, out=out)
+    out *= -qm1
+    out += 1.0
+    return out
+
+
+def _deformed_exp(base, qm1: float, lowest: float, out):
+    """The terms base^(1/(q-1)) of f, exp(base) at q = 1, into ``out``; 0 at a base cut off.
+
+    A base below 0, or at 0 for q > 1, whose power is nan or has the wrong
+    sign, is cut off.  ``lowest`` is the smallest base (:func:`_base`).  The
+    caller owns numpy's error state, which must be ``np.errstate(**_KERNEL_ERRORS)``.
+    """
+    if qm1 == 0.0:
+        return np.exp(base, out=out)
+    zero = (base <= 0.0 if qm1 > 0.0 else base < 0.0) if lowest <= 0.0 else None
+    p = np.power(base, 1.0 / qm1, out=out)
+    if zero is not None:
+        p[zero] = 0.0
+    return p
+
+
+def _slope(p, base, qm1: float, lowest: float):
+    """p^(2-q) = p / base of a :func:`_deformed_exp` pass, written over its base.
+
+    Once ``lowest``, the smallest base, is <= 0, p^(2-q) at p = 0 replaces -0 and 0/0 where p is 0.
+    """
+    if qm1 == 0.0:
+        return p
+    dp = np.divide(p, base, out=base)
+    if lowest <= 0.0:
+        dp[p == 0.0] = np.power(0.0, 1.0 - qm1)
+    return dp
+
+
 # Each loop over blocks below sums their parts from -0.0, the identity of float
 # addition, so that one block's sum is its part bit for bit.
 
@@ -184,8 +236,9 @@ def _sum_pass(blocks, a: float, qm1: float, lowest: float) -> float:
     """
     total = -0.0
     for x, (base, p) in blocks:
+        _base(x, a, qm1, base)
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
-        total += float(np.add.reduce(_deformed_exp(np.subtract(x, a, base), qm1, True, p, lowest)))
+        total += float(np.add.reduce(_deformed_exp(base, qm1, lowest, base if p is None else p)))
     return total
 
 
@@ -193,13 +246,13 @@ def _slope_sum(blocks, a: float, qm1: float, lowest: float) -> float:
     """f' = sum p^(2-q) of the latest pass, at shift a, each block's written over its base.
 
     One block's base is the one its pass left in the scratch.  Several
-    blocks share the scratch, so each block's base is formed again, by the
-    pass's own float operations; so it is in :func:`_pass_numerator`.
+    blocks share the scratch, so each block's base is formed again by
+    :func:`_base`; so it is in :func:`_pass_numerator`.
     """
     total = -0.0
     for x, (base, p) in blocks:
         if len(blocks) > 1:
-            _base(np.subtract(x, a, out=base), qm1)
+            _base(x, a, qm1, base)
         total += float(np.add.reduce(_slope(p, base, qm1, lowest)))
     return total
 
@@ -219,7 +272,7 @@ def _pass_numerator(blocks, p: np.ndarray, a: float, q: float, r: float) -> floa
     total = -0.0
     for x, (base, p_block) in blocks:
         if len(blocks) > 1:
-            _base(np.subtract(x, a, out=base), q - 1.0)
+            _base(x, a, q - 1.0, base)
         if near_one:
             base -= 1.0
         total += float(np.dot(p_block, base))

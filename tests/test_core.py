@@ -1,4 +1,4 @@
-"""Tests for the value types and the deformed exponential and logarithm kernels."""
+"""Tests for the value types, the deformed exponential and its logarithm, and their kernels."""
 
 import math
 import tracemalloc
@@ -18,12 +18,13 @@ from qentropy import (
     RangeError,
     Spectrum,
     escort_distribution,
+    partition_value,
     shifted_distribution,
     solve_beta,
     varentropy_residual,
 )
-from qentropy.core import (NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp, _deformed_exp1p,
-                           _deformed_log, _slope)
+from qentropy import shift
+from qentropy.core import NORMALIZATION_TOL, _KERNEL_ERRORS, _deformed_exp1p, _deformed_log
 from qentropy.maxent import _stationarity
 
 # q values away from the removable q = 1 point, plus the exact classical case
@@ -34,10 +35,9 @@ q_values = st.one_of(
 )
 
 
-def q_factor(x: float, q: QParam, cutoff: bool = False) -> float:
-    """The deformed exponential [1 - (q-1) x]^(1/(q-1)) at one x, through the array kernel."""
-    with np.errstate(**_KERNEL_ERRORS):
-        return float(_deformed_exp(np.array([float(x)]), q.q - 1.0, cutoff=cutoff)[0])
+def q_factor(x: float, q: QParam) -> float:
+    """The deformed exponential [1 - (q-1) x]^(1/(q-1)) at one x: f(0) on the spectrum {x}."""
+    return partition_value(0.0, Spectrum([x]), q)
 
 
 def inverse_q_factor(p: float, q: QParam, a: float = 0.0) -> float:
@@ -112,7 +112,9 @@ class TestQFactor:
     def test_negative_base_policies(self):
         with pytest.raises(DomainError):
             q_factor(1.5, QParam(2))
-        assert q_factor(1.5, QParam(2), cutoff=True) == 0.0
+        # the shift solve's pass cuts the base 1 - 1.5 off instead
+        with np.errstate(**_KERNEL_ERRORS):
+            assert shift._deformed_exp(np.array([-0.5]), 1.0, -0.5, np.empty(1))[0] == 0.0
 
     def test_classical_is_exp(self):
         assert q_factor(0.25, QParam(1)) == math.exp(-0.25)
@@ -143,7 +145,7 @@ class TestQFactor:
 
 
 class TestDeformedExpKernel:
-    """The array kernel: p, the slope p / base, and its edge values."""
+    """The shift solve's power kernel: p, the slope p / base, and its edge values."""
 
     @pytest.fixture(autouse=True)
     def _error_state(self):
@@ -151,23 +153,23 @@ class TestDeformedExpKernel:
             yield
 
     @staticmethod
-    def _pass(z, qm1, cutoff=False):
-        """p and its slope p^(2-q) from one kernel pass, as the solvers take them."""
-        p = _deformed_exp(z, qm1, cutoff, np.empty(z.size))
-        return p, _slope(p, z, qm1, float(np.minimum.reduce(z)))
+    def _pass(base, qm1):
+        """p and its slope p^(2-q) from one kernel pass over the bases, as the shift solve takes them."""
+        lowest = float(np.minimum.reduce(base))
+        p = shift._deformed_exp(base, qm1, lowest, np.empty(base.size))
+        return p, shift._slope(p, base, qm1, lowest)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.5, 2.0, 2.5, 3.0])
     def test_slope_is_the_power_two_minus_q(self, q):
         base = np.random.default_rng(int(q * 10)).uniform(1e-3, 20.0, 5000)
-        p, slope = self._pass((1.0 - base) / (q - 1.0), q - 1.0)
+        p, slope = self._pass(base, q - 1.0)
         expected = np.power(p, 2.0 - q)
         assert np.all(np.abs(slope - expected) <= 4 * np.spacing(expected))
 
     @pytest.mark.parametrize("q, slope_at_zero", [(0.5, math.inf), (1.5, 0.0), (2.0, 1.0),
                                                   (3.0, math.inf)])
     def test_slope_at_a_zero_base(self, q, slope_at_zero):
-        z = np.array([0.0, 1.0 / (q - 1.0), 0.25])  # bases 1, exactly 0, and 1 - (q-1)/4
-        p, slope = self._pass(z, q - 1.0)
+        p, slope = self._pass(np.array([1.0, 0.0, 1.0 - (q - 1.0) / 4.0]), q - 1.0)
         assert p[1] == (0.0 if q > 1.0 else math.inf)
         assert slope[1] == slope_at_zero
         assert p[0] == slope[0] == 1.0
@@ -176,16 +178,15 @@ class TestDeformedExpKernel:
     @pytest.mark.parametrize("q, slope_at_zero", [(0.5, 0.0), (1.5, 0.0), (2.0, 1.0),
                                                   (3.0, math.inf)])
     def test_negative_bases_are_cut_off(self, q, slope_at_zero):
-        z = np.array([-4.0, 0.0, 4.0]) / (q - 1.0)  # bases 5, 1 and -3
-        p, slope = self._pass(z.copy(), q - 1.0, cutoff=True)
+        p, slope = self._pass(np.array([5.0, 1.0, -3.0]), q - 1.0)
         assert p[2] == 0.0 and p[1] == 1.0
         assert slope[2] == slope_at_zero
-        assert _deformed_exp(z.copy(), q - 1.0, cutoff=True)[2] == 0.0
 
     @pytest.mark.parametrize("q", [0.5, 1.5, 3.0])
     def test_strict_mode_rejects_a_negative_base(self, q):
+        # the pass cuts a negative base off; f, its one strict caller, rejects it first
         with pytest.raises(DomainError):
-            _deformed_exp(np.array([0.0, 4.0 / (q - 1.0)]), q - 1.0)
+            partition_value(0.0, Spectrum([0.0, 4.0 / (q - 1.0)]), QParam(q))  # bases 1 and -3
 
 
 class TestLog1pKernel:
@@ -205,9 +206,10 @@ class TestLog1pKernel:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_matches_the_power_form(self, q):
         base = np.random.default_rng(int(q * 10)).uniform(1e-3, 20.0, 5000)
-        z = -np.log(base) if q == 1.0 else (1.0 - base) / (q - 1.0)
-        p, w = self._pass(-z if q == 1.0 else base - 1.0, q - 1.0)
-        want = _deformed_exp(z.copy(), q - 1.0)
+        t = np.log(base) if q == 1.0 else base - 1.0
+        p, w = self._pass(t.copy(), q - 1.0)
+        # the formula itself, at the base 1 + t, which is exact for these t
+        want = np.exp(t) if q == 1.0 else np.power(1.0 + t, 1.0 / (q - 1.0))
         # both forms round an exponent |ln p| <= 10 here, to about 10 ulps of p
         np.testing.assert_allclose(p, want, rtol=1e-13, atol=0)
         np.testing.assert_allclose(w, np.power(want, 2.0 - q), rtol=1e-13, atol=0)

@@ -1,4 +1,4 @@
-"""Tests for the Lagrange reconstruction, beta inversion, and escort solve."""
+"""Tests for the maximizer at a given beta, beta inversion, and the escort solve."""
 
 import math
 
@@ -11,19 +11,14 @@ from qentropy import (
     BracketError,
     ConvergenceError,
     Distribution,
-    DomainError,
     InfeasibleError,
-    LagrangeParams,
-    NormalizationError,
     QentropyError,
     QParam,
     RangeError,
     Spectrum,
     escort_distribution,
-    lagrange_distribution,
     maxent_distribution,
     mean_energy,
-    shift_from_alpha,
     shifted_distribution,
     solve_beta,
     solve_shift,
@@ -76,7 +71,7 @@ def seeded_spectra(seed, n=20):
 def count_kernel_passes(monkeypatch) -> list:
     """A one-item list counting the kernel calls of every module that makes them.
 
-    The kernels are ``_deformed_exp`` and the chart's ``_deformed_exp1p``.
+    The kernels are the shift pass's ``_deformed_exp`` and the chart's ``_deformed_exp1p``.
     """
     passes = [0]
 
@@ -87,72 +82,10 @@ def count_kernel_passes(monkeypatch) -> list:
         return counted
 
     for name in ("_deformed_exp", "_deformed_exp1p"):
-        counted = counting(getattr(core, name))
-        for module in (core, shift, maxent):
+        for module in (shift, maxent):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return passes
-
-
-class TestMultiplierConversion:
-    def test_round_trip(self):
-        # the map is its own inverse: it also gives alpha from a shift
-        for q in (0.3, 1.0, 2.4):
-            qp = QParam(q)
-            assert shift_from_alpha(qp, shift_from_alpha(qp, -0.7)) == pytest.approx(-0.7, abs=1e-15)
-
-    def test_classical_log_normalizer(self):
-        assert shift_from_alpha(QParam(1), 1.25) == -1.25
-
-
-class TestLagrangeDistribution:
-    def test_pair_at_q2(self):
-        # alpha chosen so the embedded shift is -0.3
-        alpha = shift_from_alpha(QParam(2), -0.3)
-        params = LagrangeParams(alpha=alpha, beta=1.0, energies=PAIR)
-        dist = lagrange_distribution(QParam(2), params)
-        np.testing.assert_allclose(dist.as_array(), [0.7, 0.3], rtol=0, atol=1e-12)
-
-    def test_classical_softmax(self):
-        alpha = math.log(1 + math.exp(-1))
-        params = LagrangeParams(alpha=alpha, beta=1.0, energies=UNIT)
-        dist = lagrange_distribution(QParam(1), params)
-        z = 1 + math.exp(-1)
-        np.testing.assert_allclose(dist.as_array(), [1 / z, math.exp(-1) / z], rtol=0, atol=1e-12)
-
-    def test_flat_energies_give_uniform(self):
-        energies = Spectrum([0.3, 0.3, 0.3])
-        qp = QParam(1.6)
-        _, solution = shifted_distribution(energies, qp)
-        params = LagrangeParams(alpha=shift_from_alpha(qp, solution.a0), beta=1.0, energies=energies)
-        dist = lagrange_distribution(qp, params)
-        np.testing.assert_allclose(dist.as_array(), 1.0 / 3.0, rtol=0, atol=1e-12)
-
-    def test_matches_shift_solution(self):
-        rng = np.random.default_rng(41)
-        for _ in range(25):
-            energies = Spectrum(rng.uniform(0, 1, rng.integers(2, 16)).tolist())
-            qp = QParam(float(rng.uniform(0.1, 0.9)))
-            beta = float(rng.uniform(-2, 2))
-            dist, solution = maxent_distribution(qp, energies, beta)
-            params = LagrangeParams(
-                alpha=shift_from_alpha(qp, solution.a0), beta=beta, energies=energies
-            )
-            reconstructed = lagrange_distribution(qp, params)
-            np.testing.assert_allclose(
-                reconstructed.as_array(), dist.as_array(), rtol=0, atol=1e-10
-            )
-
-    def test_inconsistent_alpha_rejected(self):
-        # embedded shift -0.5 keeps every base positive but sums p to 0.6
-        params = LagrangeParams(alpha=shift_from_alpha(QParam(2), -0.5), beta=1.0, energies=PAIR)
-        with pytest.raises(NormalizationError):
-            lagrange_distribution(QParam(2), params)
-
-    def test_negative_base_rejected(self):
-        params = LagrangeParams(alpha=5.0, beta=1.0, energies=PAIR)
-        with pytest.raises(DomainError):
-            lagrange_distribution(QParam(2), params)
 
 
 class TestMaxentDistribution:

@@ -45,6 +45,14 @@ def recipe_spectrum(rng, q):
     return Spectrum(x)
 
 
+def kernel_pass(x, a, q):
+    """p of the shift solve's kernel pass at shift a, over the whole of x, in a new array."""
+    qm1 = q - 1.0
+    with np.errstate(**shift._KERNEL_ERRORS):
+        base = shift._base(x, a, qm1, np.empty(x.size))
+        return shift._deformed_exp(base, qm1, float(np.minimum.reduce(base)), base)
+
+
 class TestPartitionValue:
     def test_linear_at_q2(self):
         assert partition_value(-0.3, PAIR, QParam(2)) == pytest.approx(1.0, abs=1e-15)
@@ -126,17 +134,20 @@ class TestPartitionDerivative:
         endpoint = domain_interval(UNIT, qp)[0]
         assert partition_derivative(endpoint, UNIT, qp) > 0.0
 
-    @pytest.mark.parametrize("q, expected", [
-        (1.5, 5e307),  # p = base^2 overflows; the slope is the base itself
-        (1.9, math.exp(math.log(0.9e308) / 9.0)),
-        (2.5, math.exp(-math.log(1.5e308) / 3.0)),
-        (3.0, 2.0**-0.5 * 1e-154),  # the base 2e308 overflows too
-        (4.0, math.exp(-2.0 / 3.0 * (math.log(3.0) + math.log(1e308)))),
-    ], ids=["1.5", "1.9", "2.5", "3", "4"])
-    def test_finite_where_p_overflows(self, q, expected):
+    @pytest.mark.parametrize("q, values, expected", [
+        (1.5, [0.0], 5e307),  # p = base^2 overflows; the slope is the base itself
+        (1.9, [0.0], math.exp(math.log(0.9e308) / 9.0)),
+        (2.5, [0.0], math.exp(-math.log(1.5e308) / 3.0)),
+        (3.0, [0.0], 2.0**-0.5 * 1e-154),  # the base 2e308 overflows too
+        (4.0, [0.0], math.exp(-2.0 / 3.0 * (math.log(3.0) + math.log(1e308)))),
+        # a - x_i = 2e308 overflows as well; the sum 1/sqrt(4e308 + 1) + 1/sqrt(2e308 + 1)
+        # from 200-bit mpmath
+        (3.0, [-1e308, 0.0], 1.2071067811865476e-154),
+    ], ids=["1.5", "1.9", "2.5", "3", "4", "3-difference"])
+    def test_finite_where_p_overflows(self, q, values, expected):
         # f'(a) = [1 + (q-1) a]^((2-q)/(q-1)) on {0}; p/base was nan or inf here
-        assert partition_derivative(1e308, Spectrum([0.0]), QParam(q)) == pytest.approx(
-            expected, rel=1e-13)
+        assert partition_derivative(1e308, Spectrum(values), QParam(q)) == pytest.approx(
+            expected, rel=1e-13, abs=0)
 
     def test_an_overflowing_sum_is_inf_without_a_warning(self):
         # each term, 5e307, is finite; their sum overflowed outside the kernel's error
@@ -609,11 +620,9 @@ class TestSolveShift:
         """A list of (lowest, np.minimum.reduce(base)) pairs, one per later kernel pass."""
         seen, kernel = [], shift._deformed_exp
 
-        def spied(z, qm1, cutoff=False, out=None, lowest=None):
-            base = z * -qm1
-            base += 1.0
+        def spied(base, qm1, lowest, out):
             seen.append((lowest, np.minimum.reduce(base)))
-            return kernel(z, qm1, cutoff, out, lowest)
+            return kernel(base, qm1, lowest, out)
 
         monkeypatch.setattr(shift, "_deformed_exp", spied)
         return seen
@@ -791,10 +800,10 @@ class TestShiftedDistribution:
         passes = 0
         kernel = shift._deformed_exp
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             nonlocal passes
             passes += 1
-            return kernel(*args, **kwargs)
+            return kernel(*args)
 
         monkeypatch.setattr(shift, "_deformed_exp", counted)
         for spectrum, q in cases:
@@ -805,7 +814,7 @@ class TestShiftedDistribution:
             dist, same = shifted_distribution(spectrum, QParam(q))
             assert same == solution
             assert passes == solve_passes
-            expected = kernel(spectrum.as_array() - solution.a0, q - 1.0, cutoff=True)
+            expected = kernel_pass(spectrum.as_array(), solution.a0, q)
             assert dist.as_array().tobytes() == expected.tobytes()
         assert solve_passes == solution.iterations + 1
 
@@ -876,7 +885,7 @@ class TestBlocks:
         # the base 1 - (q-1)(x - a), a few ulps of 1/|q-1| and of x - a in units of a
         with np.errstate(**shift._KERNEL_ERRORS):
             x = spectrum.as_array()
-            expected = shift._deformed_exp(x - solution.a0, q - 1.0, cutoff=True)
+            expected = kernel_pass(x, solution.a0, q)
             steepest = (np.maximum if q <= 2.0 else np.minimum)(p, one_p) ** (2.0 - q)
             grain = 2.0**-51 * ((0.0 if q == 1.0 else 1.0 / abs(q - 1.0))
                                 + np.abs(x - one_solution.a0))
