@@ -224,21 +224,32 @@ def _slope(p, base, qm1: float, lowest: float):
     return dp
 
 
+def _share(p, base, qm1: float) -> float:
+    """A block's share p . base of the measure's sum; near q = 1, p . (base - 1), edited in place."""
+    if qm1 != 0.0 and abs(qm1) < _NEAR_ONE:
+        base -= 1.0
+    return float(np.dot(p, base))
+
+
 # Each loop over blocks below sums their parts from -0.0, the identity of float
 # addition, so that one block's sum is its part bit for bit.
 
-def _sum_pass(blocks, a: float, qm1: float, lowest: float) -> float:
+def _sum_pass(blocks, a: float, qm1: float, lowest: float, dots=None) -> float:
     """f(a): one kernel pass per block of :func:`~qentropy.core._blocks`, summed while in cache.
 
     Each block's p goes into its part of p, or over its base where p is
     None, and its base is left in the scratch.  ``lowest`` is the smallest
     base; bases a rounding error below zero at the q > 1 endpoint count as 0.
+    Where ``dots`` is a list, each block's :func:`_share` of the measure
+    is appended to it while its base is still in the scratch.
     """
     total = -0.0
     for x, (base, p) in blocks:
         _base(x, a, qm1, base)
         # add.reduce skips the ndarray.sum wrapper, a real share of a small-W pass
         total += float(np.add.reduce(_deformed_exp(base, qm1, lowest, base if p is None else p)))
+        if dots is not None:
+            dots.append(_share(p, base, qm1))
     return total
 
 
@@ -247,7 +258,7 @@ def _slope_sum(blocks, a: float, qm1: float, lowest: float) -> float:
 
     One block's base is the one its pass left in the scratch.  Several
     blocks share the scratch, so each block's base is formed again by
-    :func:`_base`; so it is in :func:`_pass_numerator`.
+    :func:`_base`; this is the one loop that forms a base twice.
     """
     total = -0.0
     for x, (base, p) in blocks:
@@ -257,27 +268,25 @@ def _slope_sum(blocks, a: float, qm1: float, lowest: float) -> float:
     return total
 
 
-def _pass_numerator(blocks, p: np.ndarray, a: float, q: float, r: float) -> float | None:
+def _pass_numerator(blocks, p: np.ndarray, q: float, r: float, dots) -> float | None:
     """The measure's numerator 1 - sum p^q (-sum p ln p at q = 1) of the latest pass, or None.
 
-    The base of the pass at shift a is p^(q-1), and ln p at q = 1, so the sum
-    is one dot product per block.  Within ``_NEAR_ONE`` of q = 1 the base
-    becomes p^(q-1) - 1 in place, which is exact for a base in [0.5, 2], and
-    r = sum p - 1 gives the shortfall: the pass's own for one block, and over
-    several the one ``np.add.reduce`` of the whole p that the measure of a
-    copy of p forms.  None where the dot is not finite, as where p = 0 meets
-    an infinite base.
+    The base of the pass is p^(q-1), and ln p at q = 1, so the sum is that
+    of the blocks' shares p . base (:func:`_share`): ``dots``, which the pass
+    took, over several blocks, and for one the share of the base its pass
+    left in the scratch.  Within ``_NEAR_ONE`` of q = 1 a share is
+    p . (p^(q-1) - 1), exact for a base in [0.5, 2], and r = sum p - 1 gives
+    the shortfall: the pass's own for one block, and over several the one
+    ``np.add.reduce`` of the whole p that the measure of a copy of p forms.
+    None where the sum is not finite, as where p = 0 meets an infinite base.
     """
-    near_one = q != 1.0 and abs(q - 1.0) < _NEAR_ONE
-    total = -0.0
-    for x, (base, p_block) in blocks:
-        if len(blocks) > 1:
-            _base(x, a, q - 1.0, base)
-        if near_one:
-            base -= 1.0
-        total += float(np.dot(p_block, base))
-    if near_one and len(blocks) > 1:
+    if dots is None:  # one block, whose base its pass left in the scratch
+        dots = [_share(p, blocks[0][1][0], q - 1.0)]
+    elif q != 1.0 and abs(q - 1.0) < _NEAR_ONE:
         r = float(np.add.reduce(p)) - 1.0
+    total = -0.0
+    for dot in dots:
+        total += dot
     return _numerator(q, total, -r) if math.isfinite(total) else None
 
 
@@ -341,10 +350,10 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     [0, 1].  numerator is the measure's 1 - sum p^q (:func:`_pass_numerator`)
     of a pass meeting the tolerance; it is None where the last pass missed
     the tolerance (for q != 1 that pass wrote the slope over its base) or
-    where it is not finite.  Each pass has a one-block scratch
-    (:func:`~qentropy.core._blocks`) that holds a block's base, which a
-    second loop over the blocks, on the slope or the measure, forms again
-    where there are several.
+    where it is not finite.  Over several blocks each pass takes the
+    measure's shares (:func:`_share`) while each base is in the one-block
+    scratch (:func:`~qentropy.core._blocks`); only the slope's loop forms
+    the bases again.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -359,7 +368,8 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     def fd(a: float) -> tuple[float, float]:
         nonlocal last
         lowest = (ext - a) * -qm1 + 1.0
-        r = _sum_pass(blocks, a, qm1, lowest) - 1.0
+        dots = [] if len(blocks) > 1 else None  # the measure's shares, taken in the pass
+        r = _sum_pass(blocks, a, qm1, lowest, dots) - 1.0
         last = (a, p, r, None)
         if r == -1.0:  # f underflowed to 0, where log1p raises
             return (-1.0 / qm1 if qm1 > 0.0 else -math.inf), math.nan
@@ -367,7 +377,7 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
         try:
             h = math.expm1(qm1 * log_f) / qm1 if qm1 != 0.0 else log_f
             if abs(h) <= tol:  # the iteration stops here, and f' is not needed
-                last = (a, p, r, _pass_numerator(blocks, p, a, q.q, r))
+                last = (a, p, r, _pass_numerator(blocks, p, q.q, r, dots))
                 return h, math.nan
             return h, _slope_sum(blocks, a, qm1, lowest) * math.exp((qm1 - 1.0) * log_f)
         except OverflowError:  # h or h' beyond a double: its sign still orders the bracket

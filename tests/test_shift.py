@@ -729,6 +729,35 @@ class TestSolveShift:
         # one slope, and its one divide, per block of each stepping pass
         assert events.count("slope") == events.count("divide") == steps * blocks
 
+    @pytest.mark.parametrize("span, q, passes_made", [(1.0, 0.5, 1), (1.0, 1.0, 2),
+                                                      (100.0, 0.5, None), (100.0, 1.5, None)])
+    def test_each_base_is_formed_once_per_pass_and_slope(self, monkeypatch, span, q,
+                                                         passes_made):
+        # the measure is summed in the pass, block by block, while each base is in the
+        # scratch; only the slope's loop forms the bases of several blocks again.  The
+        # span-100 spectra are those of test_only_stepping_passes_compute_the_slope
+        x = span * np.random.default_rng(79 if span > 1.0 else 1).random(10**6)
+        if q > 1.0:
+            x = x * (0.9 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+        blocks = len(core._blocks(x))
+        bases, slope_sums, base, slope_sum = [], [], shift._base, shift._slope_sum
+
+        def counted_base(*args):
+            bases.append(None)
+            return base(*args)
+
+        def counted_slope_sum(*args):
+            slope_sums.append(None)
+            return slope_sum(*args)
+
+        monkeypatch.setattr(shift, "_base", counted_base)
+        monkeypatch.setattr(shift, "_slope_sum", counted_slope_sum)
+        passes = self._count_passes(monkeypatch)
+        dist, solution = shifted_distribution(Spectrum(x), QParam(q))
+        assert abs(solution.residual) <= 1e-12 and dist._measured is not None and blocks > 1
+        assert len(passes) == passes_made if passes_made else len(slope_sums) >= 1
+        assert len(bases) == blocks * len(passes) + blocks * len(slope_sums)
+
     @pytest.mark.parametrize("values, q", [
         (np.linspace(0.0, 1.0, 30), 0.5),  # the Newton iteration
         (np.linspace(0.0, 1.0, 30), 1.0),  # from the q = 1 start, the closed-form root
@@ -920,6 +949,32 @@ class TestBlocks:
         # q = 3 raises ConvergenceError at this W, in blocks as in one (ROADMAP item 2)
         assert (solution is None) is (q == 3.0)
         assert solution is None or abs(solution.residual) <= 1e-11
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("w", [core._BLOCK + 1, 10**5, 3 * core._BLOCK + 5])
+    def test_measure_summed_in_the_pass_is_the_reformed_one(self, w, q):
+        # each block's base formed again at a0 and dotted with its part of p, p . (base - 1)
+        # with the shortfall of the whole p near q = 1, summed from -0.0 in block order.
+        # This draw's q = 2 solves end on a pass that meets tol, so they record a measure
+        rng = np.random.default_rng(137)
+        if q == 3.0:
+            # the solve in a resolves no q = 3 root above the endpoint at this W (ROADMAP
+            # item 2): four states at 0 take p = 1/4 on the endpoint, where the rest are 0
+            x = rng.permutation(np.where(np.arange(w) < 4, 0.0, 1.0 / 32.0))
+        else:
+            x = rng.random(w)
+            if q > 1.0 + 1e-5:
+                x = x * (0.9 / oracles.endpoint_sum(x, q)) ** (q - 1.0)
+        solution, p, numerator = shift._solve(Spectrum(x), QParam(q), shift._SHIFT_TOL)
+        assert len(core._blocks(x)) > 1 and numerator is not None
+        near_one = q != 1.0 and abs(q - 1.0) < core._NEAR_ONE
+        total = -0.0
+        with np.errstate(**shift._KERNEL_ERRORS):
+            for x_b, (base, p_b) in core._blocks(x, p):
+                shift._base(x_b, solution.a0, q - 1.0, base)
+                total += float(np.dot(p_b, base - 1.0 if near_one else base))
+        r = float(np.add.reduce(p)) - 1.0 if near_one else solution.residual
+        assert numerator.hex() == core._numerator(q, total, -r).hex()
 
     def test_blocks_are_nearly_equal_and_cover_x(self):
         x = np.arange(3 * core._BLOCK + 5.0)
