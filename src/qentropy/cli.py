@@ -3,10 +3,12 @@
 Every run but a usage error prints exactly one JSON report object on
 standard output (CSV files are written for tabular sweeps).  Handlers
 raise; the one table ``_FAILURES`` gives the status and ``_EXIT`` the
-exit code: 0 ok, 1 input/IO error, 2 mathematical infeasibility or
-non-convergence, 64 usage error, which includes a non-finite float
-argument.  All numbers are rendered with 17 significant digits so
-emitted values round-trip doubles exactly.
+exit code: 0 ok, 1 input/IO error, 2 mathematical infeasibility (status
+"infeasible") or non-convergence (status "unresolved": a solver stopped
+short of its contract, whether or not a solution exists), 64 usage
+error, which includes a non-finite float argument.  All numbers are
+rendered with 17 significant digits so emitted values round-trip doubles
+exactly.
 """
 
 from __future__ import annotations
@@ -121,11 +123,13 @@ _INPUT_ERRORS = (OSError, ValueError, json.JSONDecodeError, QentropyError)
 #: open hull (solve_beta), not a bad q (QParam).
 _FAILURES = (
     (None, _UsageError, "usage"),
-    (None, (InfeasibleError, ConvergenceError, BracketError), "infeasible"),
+    (None, (InfeasibleError, BracketError), "infeasible"),
+    (None, ConvergenceError, "unresolved"),
     ("maxent", RangeError, "infeasible"),
     (None, _INPUT_ERRORS, "error"),
 )
-_EXIT = {"ok": EXIT_OK, "error": EXIT_ERROR, "infeasible": EXIT_INFEASIBLE, "usage": EXIT_USAGE}
+_EXIT = {"ok": EXIT_OK, "error": EXIT_ERROR, "infeasible": EXIT_INFEASIBLE,
+         "unresolved": EXIT_INFEASIBLE, "usage": EXIT_USAGE}
 _Checks = Sequence[tuple[str, float, float]]
 
 
@@ -133,8 +137,8 @@ def _emit(report: dict, checks: _Checks = (), exc: Exception | None = None) -> i
     """Print the run's one report and return its exit code.
 
     A finished run re-checks its (name, value, bound) residual contracts
-    before claiming ok.  A failed run reports ``exc``; an infeasible one
-    keeps the results it had (shift's feasibility).
+    before claiming ok.  A failed run reports ``exc``; an infeasible or
+    unresolved one keeps the results it had (shift's feasibility).
     """
     for name, value, bound in checks:
         if not abs(value) <= bound:
@@ -149,7 +153,7 @@ def _emit(report: dict, checks: _Checks = (), exc: Exception | None = None) -> i
         if status == "usage":
             print(f"qentropy {report['command']}: error: {exc}", file=sys.stderr)
             return _EXIT[status]
-        kept = report["results"] if status == "infeasible" else {}
+        kept = report["results"] if status in ("infeasible", "unresolved") else {}
         report["results"] = {"message": str(exc), "error": type(exc).__name__, **kept}
         report["status"] = status
         print(f"qentropy {report['command']}: {exc}", file=sys.stderr)

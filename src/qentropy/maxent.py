@@ -426,11 +426,14 @@ def escort_distribution(
             raise (InfeasibleError if low else BracketError)(
                 f"no escort multiplier within the beta caps at beta {beta}")
         p = chart.probs(math.exp(min(log_s, _LOG_S_MAX)))
-        # one map application, in the chart's units: x_i - xbar = |beta| 2^k (d_i - dbar)
-        weights = np.power(p, qt)
-        c = float(np.add.reduce(weights))
-        arg = np.subtract(d, float(np.dot(weights, d)) / c)
-        t = np.multiply(arg, abs(beta) * chart.scale / c, out=arg)  # x_i - xbar over c
+        # one map application, in the chart's units: x_i - xbar = |beta| 2^k (d_i - dbar).
+        # Its weights p^q_tilde are the pass's w = u^q_tilde = (p / max p)^q_tilde over
+        # (sum u)^q_tilde, so c = sum p^q_tilde is taken in logs: p^q_tilde itself
+        # underflowed for most weights at large q_tilde
+        _, (sw, swd, _) = chart.sums
+        arg = np.subtract(d, swd / sw)
+        log_c = math.log(sw) - qt * math.log(chart.total)
+        t = np.multiply(arg, float(np.exp(level - log_c)), out=arg)  # x_i - xbar over c
         mapped = _deformed_exp1p(np.multiply(t, -(qm1 or 1.0), out=t), qm1)
         residual = float(np.abs(mapped / mapped.sum() - p).max())
     if not residual <= tol:

@@ -139,45 +139,8 @@ def _endpoint_sum(blocks, x_max: float, qm1: float) -> float:
     return total
 
 
-def _certified(w: int, x_min: float, x_max: float, qm1: float, m: float, squares: float) -> bool:
-    """Whether the q > 1 endpoint sum is certainly at most 1/2, from x's moments in O(1).
-
-    ``m`` and ``squares`` are :func:`_moments`' mean and sum of squares about
-    it.  The sum is sum_i t_i^k with t_i = qm1 g_i, g_i = x_max - x_i and
-    k = 1/qm1; its x_max term is 0.  A span of 0 makes every term exactly 0.
-    Where (W - 1) t^k <= 1/2 - 2^-31 for t = qm1 span, by the float operations
-    of the exact sum, no term exceeds that scalar power.  Otherwise the bound
-    comes from sum g = W d and sum g^2 = W d^2 + sum (x_i - m)^2, with d the
-    distance from x_max to the exact mean: sum t^k <= t_max^(k-2) sum t^2
-    for k >= 2, (sum t)^(2-k) (sum t^2)^(k-1) for 1 <= k < 2 (power means),
-    and (W - 1)^(1-k) (sum t)^k for k < 1 (Jensen's inequality).  d is
-    widened by the rounding of m, at most (W + 2) eps max|x| plus W
-    subnormal steps, and the sum of squares by its own rounding; the bound
-    is then widened by exp(3 k 2^-53) for the rounding of each t_i carried
-    through the power k, by 2^-30 + W eps for the powers and the sum, and
-    by W eps for the rounding of k itself.  A moment that is not finite
-    certifies nothing.
-    """
-    span = x_max - x_min
-    if span == 0.0:
-        return True
-    k, t = 1.0 / qm1, span * qm1
-    if 0.0 < t < 1.0 and (w - 1.0) * t ** k <= 0.5 - 2.0**-31:
-        return True
-    if not (math.isfinite(m) and math.isfinite(squares)):
-        return False
-    eps, tiny = 2.0**-52, 2.0**-1074
-    d = max(x_max - m, 0.0) * (1.0 + eps) + (w + 2.0) * (eps * max(-x_min, x_max) + tiny)
-    t1 = qm1 * w * d  # >= sum t
-    t2 = qm1 * qm1 * (w * d * d + (squares + w * tiny) * (1.0 + (w + 2.0) * eps))  # >= sum t^2
-    if k >= 2.0:
-        t_max = t * (1.0 + 2.0 * eps) + tiny
-        bound = t_max ** (k - 2.0) * t2 if t_max < 1.0 else math.inf
-    elif k >= 1.0:
-        bound = t1 ** (2.0 - k) * t2 ** (k - 1.0)
-    else:
-        bound = (w - 1.0) ** (1.0 - k) * t1 ** k
-    return bound * math.exp(3.0 * k * 2.0**-53) * (1.0 + 2.0**-30 + w * eps) + w * eps <= 0.5
+class _EndpointRoot(Exception):
+    """The exact endpoint sum is 1 below x_min: the root is the endpoint, where f' can be singular."""
 
 
 def _base(x, a: float, qm1: float, out):
@@ -353,7 +316,10 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     where it is not finite.  Over several blocks each pass takes the
     measure's shares (:func:`_share`) while each base is in the one-block
     scratch (:func:`~qentropy.core._blocks`); only the slope's loop forms
-    the bases again.
+    the bases again.  Where q > 1 and lo is the domain endpoint, the root's
+    existence is open until a pass proves it or :func:`_endpoint_sum`
+    decides it (:func:`solve_shift`).  That sum writes over the scratch, so
+    it is formed only after a pass has taken its slope or its measure.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -364,13 +330,32 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     ext = x_max if qm1 > 0.0 else x_min  # its base is the smallest, by the same float operations
     p = np.empty(x.size)
     blocks = _blocks(x, p)  # fd's workspace
+    # q > 1 with lo on or near the domain endpoint, where f may exceed 1: whether
+    # a root exists is open until a pass proves it or the exact endpoint sum decides
+    open_end = False
+
+    def decide() -> None:
+        """Form the exact endpoint sum; no root exists where it exceeds 1."""
+        nonlocal open_end
+        open_end = False
+        endpoint_value = _endpoint_sum(blocks, x_max, qm1)
+        if not endpoint_value <= 1.0:
+            raise InfeasibleError(f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
+        if endpoint_value == 1.0 and lo < hi:
+            raise _EndpointRoot
 
     def fd(a: float) -> tuple[float, float]:
-        nonlocal last
+        nonlocal last, open_end
         lowest = (ext - a) * -qm1 + 1.0
         dots = [] if len(blocks) > 1 else None  # the measure's shares, taken in the pass
         r = _sum_pass(blocks, a, qm1, lowest, dots) - 1.0
         last = (a, p, r, None)
+        if open_end and lowest >= 2.0**-50:
+            # f at the endpoint is at most f(a) less its x_max term, lowest^k; noise bounds
+            # the rounding of both and of the exact sum, as no base lies below lowest
+            k = 1.0 / qm1
+            noise = (x.size + 4) * 2.0**-50 * (k * lowest ** min(k - 1.0, 0.0) + 1.0)
+            open_end = not r < lowest ** k - noise
         if r == -1.0:  # f underflowed to 0, where log1p raises
             return (-1.0 / qm1 if qm1 > 0.0 else -math.inf), math.nan
         log_f = math.log1p(r)
@@ -379,9 +364,12 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
             if abs(h) <= tol:  # the iteration stops here, and f' is not needed
                 last = (a, p, r, _pass_numerator(blocks, p, q.q, r, dots))
                 return h, math.nan
-            return h, _slope_sum(blocks, a, qm1, lowest) * math.exp((qm1 - 1.0) * log_f)
+            dh = _slope_sum(blocks, a, qm1, lowest) * math.exp((qm1 - 1.0) * log_f)
         except OverflowError:  # h or h' beyond a double: its sign still orders the bracket
             return math.copysign(math.inf, r), math.nan
+        if open_end and 0.0 < dh < math.inf and a - h / dh <= lo:
+            decide()  # a step from f > 1 reaches the endpoint
+        return h, dh
 
     # f <= 1/2 at lo, and at hi the x_min term alone is 1 while no
     # probability exceeds 1 below it.  The start is the root itself for a
@@ -391,28 +379,26 @@ def _solve(spectrum: Spectrum, q: QParam, tol: float):
     # on a span beyond a double some x_i - a are inf, whose terms are exactly 0
     # for q <= 1, and whose endpoint terms make q > 1 infeasible
     with np.errstate(**_KERNEL_ERRORS):
-        if qm1 != 0.0:
-            m, squares = _moments(blocks, x.size)
         if qm1 > 0.0:
-            # a certified endpoint sum is at most 1/2: feasible, and no endpoint root
-            endpoint_value = 0.0
-            if not _certified(x.size, x_min, x_max, qm1, m, squares):
-                endpoint_value = _endpoint_sum(blocks, x_max, qm1)
-                if not endpoint_value <= 1.0:
-                    raise InfeasibleError(
-                        f"no real shift for q={q.q}: endpoint sum {endpoint_value} > 1")
-            # at most x_min, as it is before rounding wherever the sum is at most 1
-            endpoint = min(x_max - 1.0 / qm1, x_min)
-            lo = max(lo, endpoint)  # f(endpoint) = endpoint_value <= 1
+            endpoint = x_max - 1.0 / qm1
+            if endpoint >= x_min:  # the x_min term alone is about 1: decide now
+                lo = x_min
+                decide()
+            elif endpoint >= lo - 2.0**-50 * (abs(x_min) + abs(x_max) + 2.0 / qm1):
+                # else lo lies above the endpoint by more than their rounding
+                lo, open_end = max(lo, endpoint), True
         if qm1 == 0.0:
             # the root itself, within an ulp: every term of the sum is at most 1, and one is 1
             start = x_min - math.log(_sum_pass(blocks, x_min, 0.0, 1.0))
-        elif qm1 > 0.0 and endpoint_value == 1.0:
-            start = lo  # the root is the endpoint itself, where f' can be singular
         else:
-            start = _model_start(x.size, m, squares, qm1)
+            start = _model_start(x.size, *_moments(blocks, x.size), qm1)
         start = hi if not start < hi else max(start, lo)  # a NaN start, where m overflows, too
-        a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
+        try:
+            a0, _, bracket, iterations = _newton_in_bracket(fd, start, lo, hi, tol, _SHIFT_PASSES)
+            if open_end:  # no pass has shown f <= 1 at the endpoint
+                decide()
+        except _EndpointRoot:  # the steps start again on the root
+            a0, _, bracket, iterations = _newton_in_bracket(fd, lo, lo, hi, tol, _SHIFT_PASSES)
         if last[0] != a0:
             fd(a0)  # the best point came earlier
     if not abs(last[2]) <= RESIDUAL_BOUND:
@@ -430,8 +416,8 @@ def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> Shift
     end is clipped up to the domain endpoint for q > 1.  At q = 1 Newton
     steps start at the root x_min - log f(x_min) itself, within an ulp,
     from one pass at x_min, so that the first pass of the iteration
-    confirms it.  A q > 1 root on the domain endpoint, clamped to at most
-    x_min, starts them there, and the first pass confirms it too.
+    confirms it.  Where the rounded q > 1 endpoint is at or above x_min,
+    the bracket closes on x_min, and the first pass confirms the root there.
     Otherwise they start at the root of f's second-order moment model
     W e(m - a)(1 + c/b^2) = 1 (:func:`_model_start`), with m and
     s2 the mean and variance of x, b = 1 - (q-1)(m - a) and
@@ -457,16 +443,25 @@ def solve_shift(spectrum: Spectrum, q: QParam, tol: float = _SHIFT_TOL) -> Shift
     the moments, run over blocks of x of about 2^15 states, which stay in
     cache, with one W-length array for p and a one-block scratch; below
     2^15 states each runs once, and the sums of several blocks add up
-    their partial sums.  Whether a q > 1 root exists is decided first in
-    O(1), from the mean and the sum of squares that the start needs anyway:
-    the endpoint sum sum_i (qm1 g_i)^(1/qm1), with g_i = x_max - x_i, is at most
-    (W - 1)(qm1 span)^(1/qm1), and is bounded by power means of sum g and
-    sum g^2 where 1/qm1 >= 1 and by Jensen's inequality below
-    (:func:`_certified`).  Where a bound shows it at most 1/2, as for W = 1
-    and a flat spectrum, whose sum is 0, the root exists; only elsewhere is
-    the exact sum formed, whose powers near q = 1 nearly all underflow and
-    cost several times a kernel pass.  numpy's overflow, division and
-    invalid-value errors are ignored throughout the solve.
+    their partial sums.
+
+    Whether a q > 1 root exists, where the endpoint sum
+    sum_i (qm1 g_i)^(1/qm1), g_i = x_max - x_i, is at most 1, is decided
+    from the bracket.  Where x_min - z_2W lies above the endpoint by more
+    than their rounding, f <= 1/2 there: a root exists, as near q = 1, on
+    small spans, for W = 1 and for a flat spectrum.  Where the rounded
+    endpoint is at or above x_min, the exact sum decides at once.
+    Otherwise lo is the endpoint, and f there is at most f(a) less the
+    pass's x_max term lowest^k, for its smallest base lowest >= 2^-50 and
+    k = 1/qm1; a pass where that lies below 1 by more than its rounding,
+    (W + 4) 2^-50 (k lowest^min(k - 1, 0) + 1), proves a root.  The exact
+    sum, whose powers near q = 1 nearly all underflow, is formed only where
+    a Newton step from f > 1 reaches the endpoint, or where the iteration
+    ends unproven: a pass within the tolerance of f = 1 proves nothing
+    next to an endpoint sum above 1 by less than the pass's rounding.  A
+    sum of exactly 1 puts the root on the endpoint, where the steps start
+    again.  numpy's overflow, division and invalid-value errors are
+    ignored throughout the solve.
 
     Raises :class:`InfeasibleError` when q > 1 and no root exists, and
     :class:`ConvergenceError` if the budget of ``_SHIFT_PASSES`` passes

@@ -41,15 +41,20 @@ def run_process(argv):
     return proc.returncode, proc.stdout.splitlines(), proc.stderr
 
 
-def assert_contract(code, lines, err, want_code):
-    assert code == want_code
+#: the exit code of each status: a solve that stops short of its contract is "unresolved",
+#: not "infeasible", and exits 2 as well
+CODES = {"ok": 0, "error": 1, "infeasible": 2, "unresolved": 2, "usage": 64}
+
+
+def assert_contract(code, lines, err, want):
+    assert code == CODES[want]
     assert "Traceback" not in err
-    if want_code == 64:
+    if want == "usage":
         assert lines == []
         return None
     assert len(lines) == 1
     report = json.loads(lines[0])
-    assert report["status"] == {0: "ok", 1: "error", 2: "infeasible"}[want_code]
+    assert report["status"] == want
     return report
 
 
@@ -80,14 +85,14 @@ def test_non_finite_float_argument_is_a_usage_error(capsys, tmp_path, spectrum_f
     argv = [arg.format(**fields) for arg in FLOAT_OPTIONS[option]]
     argv.append(f"{option.split()[1]}={value}")  # '=' keeps '-inf' from reading as a flag
     code, lines, err = run_in_process(capsys, argv)
-    assert_contract(code, lines, err, 64)
+    assert_contract(code, lines, err, "usage")
     assert f"non-finite float value: '{value}'" in err
 
 
 def test_non_finite_result_gives_one_error_report(capsys):
     # the measure at q = 1e-320 is about 1e320, which overflows a double
     code, lines, err = run_in_process(capsys, ["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])
-    report = assert_contract(code, lines, err, 1)
+    report = assert_contract(code, lines, err, "error")
     assert report["inputs"] == {"probs": "0.5,0.5", "spectrum": None}
     assert report["q"] == 1e-320
     assert report["results"] == {"message": "cannot render non-finite value inf",
@@ -98,7 +103,7 @@ def test_overflowing_compose_gives_one_error_report(capsys):
     # every field is about 1e320, beyond a double: one error report and no traceback
     argv = ["compose", "--probs-a", "0.5,0.5", "--probs-b", "0.5,0.5", "--q", "1e-320"]
     code, lines, err = run_in_process(capsys, argv)
-    report = assert_contract(code, lines, err, 1)
+    report = assert_contract(code, lines, err, "error")
     assert report["results"] == {"message": "cannot render non-finite value inf",
                                  "error": "ValueError"}
 
@@ -107,33 +112,39 @@ def test_failed_sweep_leaves_no_partial_csv(capsys, tmp_path):
     out = tmp_path / "o.csv"
     code, lines, err = run_in_process(capsys, ["sweep", "--q", "0.5,1e-320", "--points", "3",
                                                "--out", str(out)])
-    assert_contract(code, lines, err, 1)
+    assert_contract(code, lines, err, "error")
     assert not out.exists()
 
 
-#: one input per (command, failure class): argv template and the table's exit code
+#: one input per (command, failure class): argv template and the table's status
 FAILURES = {
-    "shift missing file": (["shift", "{missing}", "--q", "2"], 1),
-    "shift bad q": (["shift", "{unit}", "--q", "-1"], 1),
-    "shift infeasible": (["shift", "{wide}", "--q", "2"], 2),
-    "shift removed closed-form switch": (["shift", "{unit}", "--q", "2", "--no-closed-form"], 64),
-    "maxent bad q": (["maxent", "{unit}", "--q", "-1", "--target-u", "0.5"], 1),
-    "maxent target outside hull": (["maxent", "{unit}", "--q", "1", "--target-u", "2"], 2),
-    "escort bad q-tilde": (["escort", "{unit}", "--q-tilde=-1", "--beta", "1"], 1),
-    "escort no fixed point": (["escort", "{unit}", "--q-tilde", "0.8", "--beta", "20"], 2),
+    "shift missing file": (["shift", "{missing}", "--q", "2"], "error"),
+    "shift bad q": (["shift", "{unit}", "--q", "-1"], "error"),
+    "shift infeasible": (["shift", "{wide}", "--q", "2"], "infeasible"),
+    # feasible, as every q < 1 is, but f's rounding within 1e-9 of q = 1 exceeds 1e-10
+    "shift unresolved": (["shift", "{pair}", "--q", "0.999999999"], "unresolved"),
+    "shift removed closed-form switch": (["shift", "{unit}", "--q", "2", "--no-closed-form"],
+                                         "usage"),
+    "maxent bad q": (["maxent", "{unit}", "--q", "-1", "--target-u", "0.5"], "error"),
+    "maxent target outside hull": (["maxent", "{unit}", "--q", "1", "--target-u", "2"],
+                                   "infeasible"),
+    "escort bad q-tilde": (["escort", "{unit}", "--q-tilde=-1", "--beta", "1"], "error"),
+    "escort no fixed point": (["escort", "{unit}", "--q-tilde", "0.8", "--beta", "20"],
+                              "infeasible"),
     "sweep unwritable path": (["sweep", "--q", "1", "--points", "5",
-                               "--out", "{missing}/out.csv"], 1),
-    "sweep usage": (["sweep", "--partition", "--q", "0.5", "--out", "{out}"], 64),
-    "entropy non-finite argument": (["entropy", "--probs", "0.5,0.5", "--q", "nan"], 64),
-    "entropy non-finite list entry": (["entropy", "--probs", "nan,0.5", "--q", "2"], 64),
+                               "--out", "{missing}/out.csv"], "error"),
+    "sweep usage": (["sweep", "--partition", "--q", "0.5", "--out", "{out}"], "usage"),
+    "entropy non-finite argument": (["entropy", "--probs", "0.5,0.5", "--q", "nan"], "usage"),
+    "entropy non-finite list entry": (["entropy", "--probs", "nan,0.5", "--q", "2"], "usage"),
     "sweep non-finite list entry": (["sweep", "--q", "nan", "--points", "3",
-                                     "--out", "{out}"], 64),
+                                     "--out", "{out}"], "usage"),
 }
 
 
 @pytest.mark.parametrize("case", list(FAILURES))
 def test_failure_contract_in_process(capsys, tmp_path, spectrum_file, case):
     fields = {"unit": spectrum_file([0.0, 1.0]), "wide": spectrum_file([0.0, 2.0], "wide.json"),
+              "pair": spectrum_file([0.0, 0.4], "pair.json"),
               "missing": str(tmp_path / "missing"), "out": str(tmp_path / "out.csv")}
     template, want = FAILURES[case]
     code, lines, err = run_in_process(capsys, [arg.format(**fields) for arg in template])
@@ -142,6 +153,10 @@ def test_failure_contract_in_process(capsys, tmp_path, spectrum_file, case):
     if case == "escort bad q-tilde":
         # the library's own check reaches the report
         assert report["results"]["message"] == "escort index must be a finite real > 0, got -1.0"
+    if case == "shift unresolved":
+        # the report keeps the feasibility it had, which no longer contradicts its status
+        assert report["results"]["error"] == "ConvergenceError"
+        assert report["results"]["feasibility"]["feasible"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -152,7 +167,7 @@ def test_underflowing_endpoint_sum_gives_one_ok_report(capsys, spectrum_file, ar
     # the q = 1.5 endpoint sums of {0, 1e-200} underflow to 0.0
     tiny = spectrum_file([0.0, 1e-200])
     code, lines, err = run_in_process(capsys, [arg.format(tiny=tiny) for arg in argv])
-    assert_contract(code, lines, err, 0)
+    assert_contract(code, lines, err, "ok")
 
 
 @pytest.mark.parametrize("argv", [
@@ -163,22 +178,25 @@ def test_overflowing_span_gives_one_infeasible_report(capsys, spectrum_file, arg
     # the span of {-1e308, 1e308} overflows a double, so no beta is feasible at q = 1.5
     wide = spectrum_file([-1e308, 1e308])
     code, lines, err = run_in_process(capsys, [arg.format(wide=wide) for arg in argv])
-    report = assert_contract(code, lines, err, 2)
+    report = assert_contract(code, lines, err, "infeasible")
     assert report["results"]["error"] == "InfeasibleError"
 
 
-@pytest.mark.parametrize("argv, values", [
-    (["maxent", "{spectrum}", "--q", "200", "--target-u", "5e-301"], [0.0] + [1e-300] * 99),
-    (["escort", "{spectrum}", "--q-tilde", "300", "--beta", "1"], [0.1 * k for k in range(12)]),
+@pytest.mark.parametrize("argv, values, want", [
+    (["maxent", "{spectrum}", "--q", "200", "--target-u", "5e-301"], [0.0] + [1e-300] * 99,
+     "unresolved"),
+    (["escort", "{spectrum}", "--q-tilde", "300", "--beta", "1"], [0.1 * k for k in range(12)],
+     "ok"),
 ], ids=["maxent", "escort"])
-def test_large_index_gives_one_report(capsys, spectrum_file, argv, values):
+def test_large_index_gives_one_report(capsys, spectrum_file, argv, values, want):
     # powers to q - 1 and W^(2(q_tilde - 1)) overflowed a double with a traceback.
     # The maxent target needs bases near 99^-199, below the smallest double, so no
-    # probe of solve_beta meets it; the escort root lies beyond a double s.  Both
-    # raise typed errors: one infeasible report.
+    # probe of solve_beta meets it: a typed ConvergenceError, one unresolved report.
+    # The escort root lies within a double s; its map check, whose weights p^q_tilde
+    # underflowed, forms them as (p / max p)^q_tilde: one ok report.
     spectrum = spectrum_file(values)
     code, lines, err = run_in_process(capsys, [arg.format(spectrum=spectrum) for arg in argv])
-    assert_contract(code, lines, err, 2)
+    assert_contract(code, lines, err, want)
 
 
 def test_stationarity_holds_within_1e_8_of_q_one(capsys, spectrum_file):
@@ -186,12 +204,12 @@ def test_stationarity_holds_within_1e_8_of_q_one(capsys, spectrum_file):
     values = spectrum_file([k / 10 for k in range(10)])
     code, lines, err = run_in_process(capsys, ["maxent", values, "--q", "1.00000001",
                                                "--beta", "2"])
-    report = assert_contract(code, lines, err, 0)
+    report = assert_contract(code, lines, err, "ok")
     assert report["results"]["stationarity_residual"] <= 1e-8
 
 
 def test_failure_contract_in_a_process():
     # a non-finite result, through the module entry point
     code, lines, err = run_process(["entropy", "--probs", "0.5,0.5", "--q", "1e-320"])
-    assert_contract(code, lines, err, 1)
+    assert_contract(code, lines, err, "error")
     assert "RuntimeWarning" not in err

@@ -448,6 +448,30 @@ class TestSolveBeta:
         energies = Spectrum([1.0, 2.0, 4.0])
         assert solve_beta(QParam(1.5), energies, 7.0 / 3.0) == (0.0, Distribution([1 / 3] * 3))
 
+    def test_a_first_probe_that_misses_by_its_rounding_leaves_the_uniform_p(self, monkeypatch):
+        # a target within the tolerance of U(0) but beyond an ulp of it: the first probe's
+        # D lies within tol of D*, but mean_energy there misses the target by more than
+        # _BETA_TOL, as it does by 2 ulps (1.2e-10) on [415705.3161406435,
+        # 415706.82057148626, 415708.4035168331] at 415706.8467429875 and q = 1.5.  So the
+        # steps start at s = 0, whose g0 meets tol, and p = 1/W decides.  Platforms round
+        # that sum alike only to within an ulp, so the miss is added here
+        exact = maxent._mean_energy
+        monkeypatch.setattr(maxent, "_mean_energy",
+                            lambda p, x: exact(p, x) + (0.0 if p.min() == p.max() else 2e-10))
+        energies = Spectrum([0.0, 1.0, 3.0])
+        target = 4.0 / 3.0 + 3e-11
+        assert solve_beta(QParam(1.5), energies, target) == (0.0, Distribution([1 / 3] * 3))
+
+    def test_a_steep_root_takes_its_best_probe_again(self):
+        # at q = 5, next to the cut-off of the farther u, D moves by more than tol between
+        # adjacent floats of s: the steps end short of tol, here at a best probe before
+        # their last, and the chart takes one more pass there, whose mean_energy decides
+        energies = Spectrum([-0.17547977317777183, -0.17547964060280227])
+        target = -0.17547964067610733
+        beta, dist = solve_beta(QParam(5.0), energies, target)
+        assert abs(mean_energy(dist, energies) - target) <= 1e-10
+        assert beta < 0.0 and dist.probs[1] > 0.99
+
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0, 1.0 + 1e-9, 1.5, 2.5])
     def test_scaling_energies_and_target_scales_beta(self, q):
         # the problem is invariant under (eps, beta, target) -> (c eps, beta / c, c target).
@@ -710,13 +734,27 @@ class TestEscort:
         b = (powers[0] - powers[-1]) / ((q - 1.0) * (values[-1] - values[0]))
         assert 0.0 < b <= (1.0 - 1e-3) * cap * (1.0 + 1e-9)
 
+    def test_probs_at_an_earlier_probe_takes_one_more_pass(self):
+        # the escort takes the probs of its best probe, which need not be the latest pass:
+        # at q_tilde > 250 on a few hundred states its steps can end short of tol so
+        chart = maxent._Chart(1.5, Spectrum([0.0, 0.3, 1.0]), 1.0)
+        chart(0.5)
+        first = chart.probs(0.5).copy()  # the latest pass's
+        chart(0.8)
+        np.testing.assert_array_equal(chart.probs(0.5), first)
+        assert chart.s == 0.5 and math.fsum(first) == pytest.approx(1.0, abs=1e-15)
+
     def test_large_q_tilde_needs_no_overflowing_power(self):
         # W^(2(q_tilde - 1)) and shift._z overflowed: OverflowError
         energies = Spectrum(np.random.default_rng(0).random(3000))
         assert escort_distribution(60, energies, 1.0).residual <= 1e-10
-        # the root lies beyond the largest double s: a typed error
-        with pytest.raises(ConvergenceError):
-            escort_distribution(300, Spectrum(np.random.default_rng(0).random(12)), 1.0)
+        # the root lies at log s = 403, below the clip at 707.7, but the map check's
+        # p^q_tilde underflowed for 11 of the 12 weights, a residual of 8.65e-4; its
+        # weights are (p / max p)^q_tilde now
+        for seed in (0, 5):
+            energies = Spectrum(np.random.default_rng(seed).random(12))
+            for beta in (0.1, 1.0, 3.0):
+                assert escort_distribution(300, energies, beta).residual <= 1e-15
 
     def test_overflowing_span_at_the_classical_index(self):
         # x_i - xbar overflowed with a RuntimeWarning; the softmax puts all weight on -1e308

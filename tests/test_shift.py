@@ -183,24 +183,31 @@ class TestFeasibility:
         assert not rep.feasible
 
 
-def certified(spectrum, q):
-    """Whether the O(1) bound of a solve at q certifies the endpoint sum of ``spectrum`` <= 1/2."""
-    x = spectrum.as_array()
-    with np.errstate(**shift._KERNEL_ERRORS):  # as in a solve, where the moments may overflow
-        m, squares = shift._moments(core._blocks(x), x.size)
-    return shift._certified(x.size, spectrum.x_min, spectrum.x_max, q - 1.0, m, squares)
+def count_endpoint_sums(monkeypatch):
+    """A list that grows by one for each exact endpoint sum formed from here on."""
+    calls, exact = [], shift._endpoint_sum
+
+    def counted(*args):
+        calls.append(None)
+        return exact(*args)
+
+    monkeypatch.setattr(shift, "_endpoint_sum", counted)
+    return calls
+
+
+def solve_outcome(spectrum, q):
+    """The exception type a solve at q raises, or its solution, which must meet the contract."""
+    try:
+        solution = solve_shift(spectrum, QParam(q))
+    except (InfeasibleError, ConvergenceError) as exc:
+        return type(exc)
+    assert abs(solution.residual) <= shift.RESIDUAL_BOUND
+    return solution
 
 
 class TestFeasibilityCertificate:
-    """The O(1) bound on the q > 1 endpoint sum that spares a solve the exact sum."""
-
-    @staticmethod
-    def _outcome(spectrum, q):
-        try:
-            solution, p, numerator = shift._solve(spectrum, QParam(q), shift._SHIFT_TOL)
-        except QentropyError as exc:  # the same exception, with the same message
-            return type(exc), str(exc)
-        return solution, p.tobytes(), numerator
+    """How a q > 1 solve decides from its bracket that a root exists, and when it forms
+    the exact endpoint sum."""
 
     @pytest.mark.parametrize("q", [1.0 + 1e-9, 1.0 + 1e-5, 1.001, 1.05])
     def test_near_one_forms_no_endpoint_sum(self, monkeypatch, q):
@@ -208,22 +215,12 @@ class TestFeasibilityCertificate:
         spectra = [recipe_spectrum(rng, q) for _ in range(60)]
         spectra += [Spectrum(1e4 + spectrum.as_array()) for spectrum in spectra[:20]]
         spectra += [Spectrum([0.37]), Spectrum([0.7, 0.7, 0.7])]
-        calls, exact = [], shift._endpoint_sum
-
-        def counted(*args):
-            calls.append(None)
-            return exact(*args)
-
-        monkeypatch.setattr(shift, "_endpoint_sum", counted)
-        certified_first = [self._outcome(spectrum, q) for spectrum in spectra]
-        # W = 1 and a flat spectrum are certified too: every gap, and so the exact sum, is 0
+        calls = count_endpoint_sums(monkeypatch)
+        outcomes = [solve_outcome(spectrum, q) for spectrum in spectra]
+        # x_min - z_2W lies far above the endpoint x_max - 1/(q - 1)
         assert len(calls) == 0
-        monkeypatch.setattr(shift, "_certified", lambda *args: False)
-        exact_first = [self._outcome(spectrum, q) for spectrum in spectra]
-        assert len(calls) == len(spectra)
-        assert certified_first == exact_first
         # within 1e-9 of q = 1 most of these raise ConvergenceError at the rounding floor
-        assert any(isinstance(outcome[0], shift.ShiftSolution) for outcome in certified_first)
+        assert any(isinstance(outcome, shift.ShiftSolution) for outcome in outcomes)
 
     @given(w=st.integers(min_value=1, max_value=300),
            log_span=st.floats(min_value=-300.0, max_value=300.0),
@@ -231,9 +228,9 @@ class TestFeasibilityCertificate:
            offset=st.floats(min_value=-1e8, max_value=1e8),
            spread=st.sampled_from(["half at x_min", "two points", "uniform"]),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_certified_endpoint_sum_is_at_most_one_half(self, w, log_span, q, offset, spread,
-                                                        seed):
-        # states at x_min reach the largest term; two points make the moment bound exact
+    def test_infeasible_exactly_where_the_endpoint_sum_exceeds_one(self, w, log_span, q, offset,
+                                                                    spread, seed):
+        # states at x_min reach the largest term
         rng = np.random.default_rng(seed)
         u = rng.random(w)
         if spread == "half at x_min":
@@ -242,63 +239,59 @@ class TestFeasibilityCertificate:
             u = (u < rng.random()).astype(float)
         u[0] = 1.0
         spectrum = Spectrum(offset + 10.0**log_span * u)
-        if certified(spectrum, q):
-            assert feasibility(spectrum, QParam(q)).endpoint_value <= 0.5
+        outcome = solve_outcome(spectrum, q)
+        assert (outcome is InfeasibleError) == (not feasibility(spectrum, QParam(q)).feasible)
 
-    def test_certified_endpoint_sum_at_the_bound(self):
-        # spans within a relative 1e-9 of the scalar bound (W - 1) t^k <= 1/2,
-        # W - 1 states at x_min and one at x_max
-        rng = np.random.default_rng(97)
-        held = 0
-        for _ in range(3000):
-            w, q = int(rng.integers(2, 301)), 1.0 + math.exp(rng.uniform(-34.5, math.log(49)))
-            qm1 = q - 1.0
-            span = math.exp(qm1 * (math.log(0.5 / (w - 1)) + rng.normal() * 1e-9) - math.log(qm1))
-            spectrum = Spectrum(np.r_[span, np.zeros(w - 1)])
-            if certified(spectrum, q):
-                held += 1
-                assert feasibility(spectrum, QParam(q)).endpoint_value <= 0.5
-        assert held >= 1000
+    def test_infeasible_exactly_where_the_endpoint_sum_exceeds_one_near_the_boundary(self):
+        # two-point spectra whose endpoint sums lie within a relative 1e-12 of 1, at offsets
+        # up to 1e8: a pass within the tolerance of f = 1 there proves no root
+        rng = np.random.default_rng(113)
+        infeasible = 0
+        for _ in range(400):
+            w, qm1 = int(rng.integers(2, 301)), math.exp(rng.uniform(math.log(1e-3), math.log(49.0)))
+            at_min = int(rng.integers(1, w))
+            total = math.exp(rng.normal() * 1e-12)  # the endpoint sum at qm1 span = at_min^qm1
+            span = (total / at_min) ** qm1 / qm1
+            offset = float(rng.choice([-1.0, 0.0, 1.0])) * 10.0 ** rng.uniform(-3.0, 8.0)
+            spectrum = Spectrum(offset + np.r_[np.zeros(at_min), np.full(w - at_min, span)])
+            feasible = feasibility(spectrum, QParam(1.0 + qm1)).feasible
+            infeasible += not feasible
+            assert (solve_outcome(spectrum, 1.0 + qm1) is InfeasibleError) == (not feasible)
+        assert 100 <= infeasible <= 300
 
-    def test_moment_bound_at_one_half(self):
-        # endpoint sums within a relative 1e-3 of 1/2, on two-point spectra, where the
-        # power-mean bound of every k = 1/(q-1) >= 1 is exact, on states clustered
-        # near x_max and on skewed draws, at offsets up to 3e8, where the mean's
-        # rounding reaches the span
-        rng = np.random.default_rng(101)
-        held = 0
-        for _ in range(3000):
-            w, kind = int(rng.integers(2, 301)), int(rng.integers(0, 3))
-            u = rng.random(w)
-            if kind == 0:
-                u = (u < rng.random()).astype(float)
-            elif kind == 1:
-                u = np.where(u < 0.5, 0.0, 1.0 - 1e-6 * rng.random(w))
-            else:
-                u = u ** rng.uniform(0.1, 10.0)
-            u[0] = 1.0
-            if u.min() == 1.0:
-                continue
-            gaps = (1.0 - u) / (1.0 - u.min())
-            qm1 = math.exp(rng.uniform(math.log(1e-3), math.log(49.0)))
-            with np.errstate(under="ignore"):
-                total = float(np.sum(gaps ** (1.0 / qm1)))  # the sum at qm1 span = 1
-            span = (0.5 * math.exp(rng.normal() * 1e-3) / total) ** qm1 / qm1
-            offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-3.0, 8.5)
-            spectrum = Spectrum(offset + span * (1.0 - gaps))
-            if certified(spectrum, 1.0 + qm1):
-                held += 1
-                assert feasibility(spectrum, QParam(1.0 + qm1)).endpoint_value <= 0.5
-        assert held >= 1000
+    @pytest.mark.parametrize("values, q", [
+        ([0.0] * 140 + [1.1930980478475088] * 4, 1.2471366029316306),
+        ([-28.416160795487777] * 2 + [-28.167253872392003] * 7, 2.4601777426084714),
+    ])
+    def test_a_pass_within_the_tolerance_proves_no_root(self, values, q):
+        # the endpoint sum exceeds 1 by less than the tolerance, and the first pass, on
+        # the endpoint, meets it
+        spectrum = Spectrum(values)
+        assert 1.0 < feasibility(spectrum, QParam(q)).endpoint_value < 1.0 + 1e-12
+        with pytest.raises(InfeasibleError):
+            solve_shift(spectrum, QParam(q))
+
+    def test_a_pass_rounded_below_one_proves_no_root(self, monkeypatch):
+        # an endpoint sum of 1 + 3e-8 on states 2.5e-10 apart at an offset of -12: probes
+        # within the rounding of the endpoint drop the x_max term, and f there rounds below
+        # 1, so that steps and bisections towards it end outside the contract only after 47
+        # passes.  The first Newton step from f > 1 reaches the endpoint, and the sum decides
+        spectrum = Spectrum([-12.000060429848038] * 15 + [-12.000060429599072] * 25)
+        q = 8.425556653765577
+        assert feasibility(spectrum, QParam(q)).endpoint_value > 1.0
+        passes, pass_ = [], shift._sum_pass
+        monkeypatch.setattr(shift, "_sum_pass", lambda *args: passes.append(None) or pass_(*args))
+        with pytest.raises(InfeasibleError):
+            solve_shift(spectrum, QParam(q))
+        assert len(passes) <= 2
 
     @pytest.mark.parametrize("values, q", [
         ([-1e308, 1e308], 1.0 + 1e-9),   # the span overflows to inf
-        ([0.0, 1e300], 1.5),             # qm1 span finite, far above the bound
-        ([1e308, 1.5e308, 1.7e308], 1.5),  # the mean overflows: no moment certifies
+        ([0.0, 1e300], 1.5),             # qm1 span finite, far above 1
+        ([1e308, 1.5e308, 1.7e308], 1.5),  # the mean overflows
     ])
     def test_degenerate_inputs_fall_back_to_the_exact_sum(self, values, q):
         spectrum = Spectrum(values)
-        assert not certified(spectrum, q)
         if feasibility(spectrum, QParam(q)).feasible:
             assert abs(solve_shift(spectrum, QParam(q)).residual) <= 1e-10
         else:
@@ -311,20 +304,24 @@ class TestFeasibilityCertificate:
         ([-2.5] * 4, 3.0),               # and where the moment model is undefined
         ([0.0, 5e-324], 1.25),           # qm1 span underflows to 0, and so does its power
     ])
-    def test_zero_endpoint_sums_are_certified(self, values, q):
-        # the exact sum is 0, which no longer needs forming
+    def test_zero_endpoint_sums_are_certified(self, monkeypatch, values, q):
+        # the exact sum is 0, and the bracket shows a root without forming it
         spectrum = Spectrum(values)
-        assert certified(spectrum, q)
         assert feasibility(spectrum, QParam(q)).endpoint_value == 0.0
+        calls = count_endpoint_sums(monkeypatch)
         assert abs(solve_shift(spectrum, QParam(q)).residual) <= 1e-10
+        assert len(calls) == 0
 
-    def test_certifies_the_benchmark_spectra_at_three_halves(self):
-        # uniform gaps at an endpoint sum of 0.25: the scalar bound reads 0.75, while
-        # sum t^2 is the sum itself at q = 3/2
+    def test_forms_no_endpoint_sum_on_the_benchmark_spectra_at_three_halves(self, monkeypatch):
+        # uniform gaps at an endpoint sum of 0.25, where lo is the endpoint: the first pass
+        # shows f(a) less its x_max term below 1
         x = np.random.default_rng(1).random(10**4)
         spectrum = Spectrum(x * (0.25 / oracles.endpoint_sum(x, 1.5)) ** 0.5)
-        assert certified(spectrum, 1.5)
-        assert (spectrum.W - 1) * (0.5 * (spectrum.x_max - spectrum.x_min)) ** 2 > 0.5
+        lo = spectrum.x_min - shift._z(math.log(2.0 * spectrum.W), 0.5)
+        assert domain_interval(spectrum, QParam(1.5))[0] > lo
+        calls = count_endpoint_sums(monkeypatch)
+        assert abs(solve_shift(spectrum, QParam(1.5)).residual) <= 1e-10
+        assert len(calls) == 0
 
 
 class TestSolveShift:
@@ -363,14 +360,27 @@ class TestSolveShift:
         assert abs(sol.residual) <= 1e-10
         assert (sol.iterations, sol.bracket) == (1, (0.0, 0.0))
         # one ulp wider the sum exceeds 1, and one ulp narrower the root lies inside the
-        # domain; none of the three is certified, so the exact sum decides each
+        # domain; the exact sum decides each
         with pytest.raises(InfeasibleError):
             solve_shift(Spectrum([0.0, 1.0 + 2.0**-52]), QParam(2))
         inside = solve_shift(Spectrum([0.0, 1.0 - 2.0**-53]), QParam(2))
         assert inside.a0 > -2.0**-53
         assert abs(inside.residual) <= 1e-10
-        for span in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53):
-            assert not certified(Spectrum([0.0, span]), 2.0)
+
+    @pytest.mark.parametrize("values, q", [
+        ([0.0] * 2 + [3.1343995066786614] * 80, 1.2654265161063123),
+        ([0.0] * 3 + [0.4017507525898788, 0.6618208565692297], 1.6786475069835154),
+    ])
+    def test_endpoint_root_below_x_min(self, values, q):
+        # the endpoint sums round to exactly 1, and the endpoint lies below x_min, under the
+        # moment-model start.  Once a step forms the sum, the steps start again on the
+        # endpoint, whose first pass confirms it; else they settle a few ulps above it
+        spectrum = Spectrum(values)
+        assert feasibility(spectrum, QParam(q)).endpoint_value == 1.0
+        endpoint = domain_interval(spectrum, QParam(q))[0]
+        solution = solve_shift(spectrum, QParam(q))
+        assert (solution.a0, solution.iterations, solution.bracket) == (endpoint, 1, (endpoint, 0.0))
+        assert abs(solution.residual) <= 2.0**-52
 
     @pytest.mark.parametrize("values, q", [([0.0, 0.5], 3.0), ([0.0, 0.25], 5.0)])
     def test_endpoint_root_where_the_slope_is_singular(self, values, q):
